@@ -19,6 +19,10 @@ Two families of keys:
   the fused multiply-accumulate chain against its unfused two-dispatch
   form (``fusion_gain``), a win that does not need extra cores.
 
+The fast baseline is the in-process fused chain: ``FastNegacyclic`` and
+``FastNtt`` run the same step lists (:mod:`repro.fast.chain`) a pool
+worker runs, so a speedup here measures parallelism alone, not fusion.
+
 Correctness is the gate: outputs must match and no shard may have needed
 a retry or an in-process fallback. Speedup is *recorded* but only
 enforced when ``--min-speedup`` is passed, because the pool can only win

@@ -1,23 +1,27 @@
-"""Fused multi-op chains executed against resident register planes.
+"""The fast engine's one executable description of every op: step chains.
 
 A *chain* is a small, serializable program — a list of step dicts over
 named registers — composing the fast engine's primitives (NTT stages,
 psi twists, pointwise products, BLAS ops) without returning to the
-caller between steps. Two consumers:
+caller between steps. Every fast and parallel entry point is a step
+list handed to :func:`run_chain`:
 
-* :mod:`repro.par.worker` executes a whole chain as **one** pool task
-  (``op="chain"``), collapsing what used to be three dispatch round
-  trips (forward NTTs, pointwise, inverse) into one;
-* the worker's built-in ``negacyclic_mul``/``cyclic_mul`` ops route
-  through the same runner, so every convolution shard benefits.
+* :class:`~repro.fast.ntt.FastNtt` (forward, inverse, pointwise,
+  cyclic product) and :class:`~repro.fast.ntt.FastNegacyclic` (twisted
+  forward and inverse, negacyclic product) build a step list and run it
+  in-process;
+* every :mod:`repro.par` plan builds the same step lists and ships them
+  to the pool as ``op="chain"`` task specs, which is the only op
+  :func:`repro.par.worker.execute_spec` executes;
+* the faithful audit (:mod:`repro.resil.integrity`) interprets the same
+  steps on the ISA-simulated engine.
 
 The runner keeps intermediate values **resident on the active
-arithmetic substrate**: with an r52 modulus (q <= 102 bits) registers
-stay in 52-bit limb-plane form across every step — one ``from_dw``
-repack per input, one ``to_dw`` per output, rather than per primitive —
-which is the PR 7 follow-on the roadmap calls out. Every step's
+arithmetic substrate**: with an r52 modulus registers stay in 52-bit
+limb-plane form across every step — one ``from_dw`` repack per input,
+one ``to_dw`` per output, rather than per primitive. Every step's
 mathematical output is a fully reduced canonical residue, so chains are
-bit-exact with the unfused fast (and faithful) engines by construction.
+bit-exact with the faithful engine by construction.
 
 Step shapes (all plain dicts, pickle/JSON-safe)::
 
@@ -34,13 +38,15 @@ must leave its result in the register named ``"out"``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import NttParameterError
 from repro.fast.blas import FastBlasPlan
-from repro.fast.ntt import FastNegacyclic, FastNtt
+
+if TYPE_CHECKING:  # fast.ntt runs its ops through this module
+    from repro.fast.ntt import FastNegacyclic, FastNtt
 
 #: Valid ``blas_op`` values for a ``blas`` step.
 BLAS_OPS = ("vector_add", "vector_sub", "vector_mul", "axpy")
@@ -51,8 +57,26 @@ STEP_KINDS = ("ntt", "twist", "pointwise", "blas")
 #: Output register every chain must produce.
 OUT_REGISTER = "out"
 
-#: Negacyclic product ``out = x * y mod (x^n + 1, q)`` — the exact step
-#: sequence of :meth:`repro.fast.ntt.FastNegacyclic.multiply`, fused.
+#: Element-wise spectral product ``out = x * y`` (one mulmod pass).
+POINTWISE_STEPS = ({"kind": "pointwise", "a": "x", "b": "y", "dst": OUT_REGISTER},)
+
+#: Twisted forward transform of the negacyclic ring (raw bit-reversed
+#: output): ``out = NTT(x * psi^i)``.
+TWISTED_FORWARD_STEPS = (
+    {"kind": "twist", "which": "twist", "src": "x", "dst": "xt"},
+    {"kind": "ntt", "direction": "forward", "natural": False,
+     "src": "xt", "dst": OUT_REGISTER},
+)
+
+#: Inverse of :data:`TWISTED_FORWARD_STEPS` (``1/n`` and untwist included).
+TWISTED_INVERSE_STEPS = (
+    {"kind": "ntt", "direction": "inverse", "natural": False,
+     "src": "x", "dst": "cy"},
+    {"kind": "twist", "which": "untwist", "src": "cy", "dst": OUT_REGISTER},
+)
+
+#: Negacyclic product ``out = x * y mod (x^n + 1, q)``: twist, forward,
+#: pointwise, inverse, untwist.
 NEGACYCLIC_MUL_STEPS = (
     {"kind": "twist", "which": "twist", "src": "x", "dst": "xt"},
     {"kind": "ntt", "direction": "forward", "natural": False,
@@ -66,8 +90,7 @@ NEGACYCLIC_MUL_STEPS = (
     {"kind": "twist", "which": "untwist", "src": "cy", "dst": OUT_REGISTER},
 )
 
-#: Cyclic product ``out = x * y mod (x^n - 1, q)`` — the fused form of
-#: :meth:`repro.fast.ntt.FastNtt.cyclic_multiply`.
+#: Cyclic product ``out = x * y mod (x^n - 1, q)``.
 CYCLIC_MUL_STEPS = (
     {"kind": "ntt", "direction": "forward", "natural": False,
      "src": "x", "dst": "fa"},
@@ -87,6 +110,25 @@ NEGACYCLIC_MUL_ADD_STEPS = tuple(
     + [{"kind": "blas", "blas_op": "vector_add",
         "x": "prod", "y": "z", "dst": OUT_REGISTER}]
 )
+
+
+def ntt_steps(direction: str, natural: bool) -> Tuple[dict, ...]:
+    """One transform ``out = NTT(x)`` or ``INTT(x)``.
+
+    ``natural`` selects natural-order output (forward) or input
+    (inverse); otherwise the spectrum is in raw bit-reversed order.
+    """
+    return ({"kind": "ntt", "direction": direction, "natural": bool(natural),
+             "src": "x", "dst": OUT_REGISTER},)
+
+
+def blas_steps(blas_op: str, a: Optional[int] = None) -> Tuple[dict, ...]:
+    """One BLAS op ``out = op(x, y)`` (``a`` is the ``axpy`` scalar)."""
+    step = {"kind": "blas", "blas_op": blas_op, "x": "x", "y": "y",
+            "dst": OUT_REGISTER}
+    if a is not None:
+        step["a"] = int(a)
+    return (step,)
 
 
 def chain_input_names(steps: Sequence[dict]) -> List[str]:
@@ -176,8 +218,8 @@ def validate_steps(steps: Sequence[dict], inputs: Sequence[str]) -> None:
 def run_chain(
     steps: Sequence[dict],
     inputs: Dict[str, np.ndarray],
-    ntt: FastNtt,
-    neg: Optional[FastNegacyclic] = None,
+    ntt: Optional["FastNtt"],
+    neg: Optional["FastNegacyclic"] = None,
     blas: Optional[FastBlasPlan] = None,
 ) -> np.ndarray:
     """Execute a validated chain; returns the ``"out"`` register (dw form).
@@ -188,11 +230,15 @@ def run_chain(
     step stays in plane form; the double-word repack happens once per
     input register and once for the result. Each step produces fully
     reduced canonical residues, which is what makes the fused result
-    bit-identical to the unfused engines.
+    bit-identical to the faithful engine.
+
+    A chain of BLAS steps only needs ``blas``: ``ntt`` may be ``None``.
     """
-    r = ntt.mod.r52
-    use_r52 = r is not None and ntt._r52 is not None
-    bitrev = ntt._bitrev
+    if ntt is None and blas is None:
+        raise NttParameterError("a chain needs a transform or a BLAS plan")
+    mod = ntt.mod if ntt is not None else blas.mod
+    r = mod.r52
+    use_r52 = r is not None
     # Tagged register file: ("dw", (..., 2) array) or ("r52", planes).
     regs: Dict[str, tuple] = {
         name: ("dw", arr) for name, arr in inputs.items()
@@ -209,8 +255,13 @@ def run_chain(
     for step in steps:
         kind = step["kind"]
         if kind == "ntt":
+            if ntt is None:
+                raise NttParameterError(
+                    "chain has an ntt step but no transform plan (n, root)"
+                )
             inverse = step["direction"] == "inverse"
             natural = bool(step.get("natural", False))
+            bitrev = ntt._bitrev
             if use_r52:
                 planes = as_r52(regs[step["src"]])
                 if inverse:
@@ -231,7 +282,7 @@ def run_chain(
                         x = x[..., bitrev, :]
                     x = ntt._run_stages(x, True)
                     x = x[..., bitrev, :]
-                    x = ntt.mod.mulmod(x, ntt._n_inv)
+                    x = mod.mulmod(x, ntt._n_inv)
                 else:
                     x = ntt._run_stages(x, False)
                     if natural:
@@ -253,7 +304,7 @@ def run_chain(
             else:
                 x = as_dw(regs[step["src"]])
                 tw = neg._untwist if untwist else neg._twist
-                regs[step["dst"]] = ("dw", ntt.mod.mulmod(x, tw))
+                regs[step["dst"]] = ("dw", mod.mulmod(x, tw))
         elif kind == "pointwise":
             if use_r52:
                 a = as_r52(regs[step["a"]])
@@ -262,7 +313,7 @@ def run_chain(
             else:
                 a = as_dw(regs[step["a"]])
                 b = as_dw(regs[step["b"]])
-                regs[step["dst"]] = ("dw", ntt.mod.mulmod(a, b))
+                regs[step["dst"]] = ("dw", mod.mulmod(a, b))
         else:  # blas (validated)
             plan = blas if blas is not None else FastBlasPlan(ntt.q)
             xa = as_dw(regs[step["x"]])

@@ -9,6 +9,11 @@ write the pair to ``2i``/``2i + 1`` — on entire ``(n,)`` vectors of
 Twiddle tables come from the same :class:`~repro.ntt.twiddles.TwiddleTable`
 the faithful path uses, so the two engines agree bit for bit.
 
+The plans here hold the precomputed state (twiddles, bit-reversal
+permutation, psi twists, r52 Shoup pairs); every public op coerces its
+operands and runs a step list through :func:`repro.fast.chain.run_chain`,
+which owns the stage ordering, the twists and the r52 repacking.
+
 The batched API accepts ``(batch, n)`` inputs, transforming every row in
 the same NumPy operations — this is how the RNS pipeline's independent
 residue channels amortize kernel-launch overhead.
@@ -16,13 +21,14 @@ residue channels amortize kernel-launch overhead.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.arith.modular import inv_mod
 from repro.arith.primes import root_of_unity
 from repro.errors import NttParameterError
+from repro.fast import chain
 from repro.fast.limbs import IntVector, limbs_from_ints, limbs_to_ints
 from repro.fast.modular import FastModulus
 from repro.fast.r52 import R52Ntt
@@ -101,51 +107,53 @@ class FastNtt:
         Bit-exact with :meth:`repro.ntt.simd.SimdNtt.forward` on every
         kernel backend (raw bit-reversed output unless ``natural_order``).
         """
-        x, as_ints = self._coerce(values)
-        record_engine_call("fast", "ntt.forward", x.size // 2)
-        if self._r52 is not None:
-            record_r52_call("ntt.forward", x.size // 2)
-        with engine_run_span("fast", "ntt.forward", x.size // 2, mode=self.mode):
-            out = self._run_stages(x, inverse=False)
-            if natural_order:
-                out = out[..., self._bitrev, :]
-        return limbs_to_ints(out) if as_ints else out
+        steps = chain.ntt_steps("forward", natural_order)
+        return self._run("ntt.forward", steps, {"x": values})
 
     def inverse(self, values: IntMatrix, natural_order: bool = True) -> IntMatrix:
         """Inverse NTT including the ``1/n`` scaling (batched-aware)."""
-        x, as_ints = self._coerce(values)
-        record_engine_call("fast", "ntt.inverse", x.size // 2)
-        if self._r52 is not None:
-            record_r52_call("ntt.inverse", x.size // 2)
-        with engine_run_span("fast", "ntt.inverse", x.size // 2, mode=self.mode):
-            if not natural_order:
-                x = x[..., self._bitrev, :]
-            out = self._run_stages(x, inverse=True)
-            out = out[..., self._bitrev, :]
-            out = self.mod.mulmod(out, self._n_inv)
-        return limbs_to_ints(out) if as_ints else out
+        steps = chain.ntt_steps("inverse", natural_order)
+        return self._run("ntt.inverse", steps, {"x": values})
 
     def pointwise_mul(self, f: IntMatrix, g: IntMatrix) -> IntMatrix:
         """Element-wise spectral product (the convolution-theorem middle)."""
-        fa, as_ints = self._coerce(f)
-        ga, _ = self._coerce(g)
-        record_engine_call("fast", "ntt.pointwise", fa.size // 2)
-        if self._r52 is not None:
-            record_r52_call("ntt.pointwise", fa.size // 2)
-        with engine_run_span("fast", "ntt.pointwise", fa.size // 2, mode=self.mode):
-            out = self.mod.mulmod(fa, ga)
-        return limbs_to_ints(out) if as_ints else out
+        return self._run("ntt.pointwise", chain.POINTWISE_STEPS, {"x": f, "y": g})
 
     def cyclic_multiply(self, f: IntMatrix, g: IntMatrix) -> IntMatrix:
         """Length-``n`` cyclic convolution via the transform."""
-        fa = self.forward(f, natural_order=False)
-        ga = self.forward(g, natural_order=False)
-        prod = self.pointwise_mul(fa, ga)
-        return self.inverse(prod, natural_order=False)
+        return self._run("ntt.cyclic_mul", chain.CYCLIC_MUL_STEPS, {"x": f, "y": g})
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+
+    def _run(
+        self,
+        op: str,
+        steps: Sequence[dict],
+        operands: Dict[str, IntMatrix],
+        neg: Optional["FastNegacyclic"] = None,
+    ) -> IntMatrix:
+        """Coerce ``operands`` (register name -> value) and run ``steps``."""
+        arrays, returns_ints = self._coerce_operands(operands)
+        elements = arrays["x"].size // 2
+        record_engine_call("fast", op, elements)
+        if self._r52 is not None:
+            record_r52_call(op, elements)
+        with engine_run_span("fast", op, elements, mode=self.mode):
+            out = chain.run_chain(steps, arrays, self, neg=neg)
+        return limbs_to_ints(out) if returns_ints else out
+
+    def _coerce_operands(
+        self, operands: Dict[str, IntMatrix]
+    ) -> Tuple[Dict[str, np.ndarray], bool]:
+        """Coerce named operands; the first decides the return form.
+
+        Python ints in, Python ints out; limb arrays in, limb arrays out.
+        """
+        coerced = {name: self._coerce(value) for name, value in operands.items()}
+        arrays = {name: arr for name, (arr, _) in coerced.items()}
+        return arrays, next(iter(coerced.values()))[1]
 
     def _coerce(self, values: IntMatrix) -> Tuple[np.ndarray, bool]:
         as_ints = not isinstance(values, np.ndarray)
@@ -159,9 +167,8 @@ class FastNtt:
     def _r52_n_inv_pair(self) -> tuple:
         """Cached Shoup pair for ``1/n`` on the r52 substrate.
 
-        Used by the fused-chain runner (:mod:`repro.fast.chain`) to
-        apply the inverse transform's scaling without leaving limb-plane
-        form.
+        Lets the chain runner apply the inverse transform's scaling
+        without leaving limb-plane form.
         """
         if self._r52_n_inv is None:
             self._r52_n_inv = self.mod.r52.shoup(int(self.table.n_inverse))
@@ -178,12 +185,7 @@ class FastNtt:
         return cached
 
     def _run_stages(self, x: np.ndarray, inverse: bool) -> np.ndarray:
-        if self._r52 is not None:
-            # Native r52 stages: repack once per transform, run every
-            # stage Harvey-lazy with batched carries, repack once back.
-            r = self.mod.r52
-            out = self._r52.run_stages(r.from_dw(x), inverse)
-            return r.to_dw(out)
+        """The double-word Pease stages (r52 plans use ``self._r52``)."""
         half = self.n // 2
         for stage in range(self.table.stages):
             tw = self._stage_twiddles(stage, inverse)
@@ -253,26 +255,21 @@ class FastNegacyclic:
 
     def forward(self, values: IntMatrix) -> IntMatrix:
         """Twisted forward transform (raw bit-reversed order)."""
-        x, as_ints = self.plan._coerce(values)
-        twisted = self.plan.mod.mulmod(x, self._twist)
-        out = self.plan.forward(twisted, natural_order=False)
-        return limbs_to_ints(out) if as_ints else out
+        return self.plan._run(
+            "ntt.forward", chain.TWISTED_FORWARD_STEPS, {"x": values}, self
+        )
 
     def inverse(self, values: IntMatrix) -> IntMatrix:
         """Inverse of :meth:`forward` (untwist and ``1/n`` included)."""
-        x, as_ints = self.plan._coerce(values)
-        cyclic = self.plan.inverse(x, natural_order=False)
-        out = self.plan.mod.mulmod(cyclic, self._untwist)
-        return limbs_to_ints(out) if as_ints else out
+        return self.plan._run(
+            "ntt.inverse", chain.TWISTED_INVERSE_STEPS, {"x": values}, self
+        )
 
     def multiply(self, f: IntMatrix, g: IntMatrix) -> IntMatrix:
         """Negacyclic product ``f * g mod (x^n + 1, q)`` (batched-aware)."""
-        record_engine_call("fast", "ntt.polymul", self.n)
-        with engine_run_span("fast", "ntt.polymul", self.n, mode=self.mode):
-            fa = self.forward(f)
-            ga = self.forward(g)
-            prod = self.plan.pointwise_mul(fa, ga)
-            return self.inverse(prod)
+        return self.plan._run(
+            "ntt.polymul", chain.NEGACYCLIC_MUL_STEPS, {"x": f, "y": g}, self
+        )
 
 
 def fast_negacyclic_polymul(
@@ -281,7 +278,9 @@ def fast_negacyclic_polymul(
     """One-shot negacyclic polynomial multiplication on the fast engine."""
     f = list(f)
     g = list(g)
-    if len(f) != len(g):
-        raise NttParameterError("negacyclic multiplication needs equal lengths")
-    n = len(f) if f and isinstance(f[0], int) else len(f[0])
+    if not f or len(f) != len(g):
+        raise NttParameterError(
+            "negacyclic multiplication needs equal, non-empty lengths"
+        )
+    n = len(f) if isinstance(f[0], int) else len(f[0])
     return FastNegacyclic(n, q).multiply(f, g)

@@ -1,21 +1,25 @@
 """User-facing parallel plans: the fast-engine API, sharded over workers.
 
-:class:`ParNtt`, :class:`ParNegacyclic` and :class:`ParBlasPlan` mirror
-their :mod:`repro.fast` twins — same coercion, same validation, same
-bit-exact results — but execute through a
-:class:`~repro.par.executor.ParallelExecutor`: the batched input is
-staged into shared memory, split into contiguous shards (whole rows for
-transforms, element ranges for BLAS), and each shard is computed by a
-pool worker whose plan and twiddle caches stay warm across calls.
+:class:`ParNtt`, :class:`ParNegacyclic`, :class:`ParBlasPlan`,
+:class:`ParChain` and :func:`parallel_rns_mul` mirror their
+:mod:`repro.fast` twins — same coercion, same validation, same
+bit-exact results. Each one only builds a step list (see
+:mod:`repro.fast.chain`) and hands it to one shared helper,
+:func:`_run_steps`, which stages the operands into shared memory, cuts
+axis 0 into contiguous shards and dispatches every shard as one
+``op="chain"`` task to a :class:`~repro.par.executor.ParallelExecutor`,
+whose workers keep their plan and twiddle caches warm across calls.
 
 Two axes of parallelism are exposed:
 
-* **batch sharding** — a ``(batch, n)`` stack of transforms or a long
-  BLAS vector is cut into ``workers`` contiguous pieces;
+* **batch sharding** — a ``(batch, n)`` stack of transforms, or the
+  flattened ``(elements, 2)`` array of a BLAS op, is cut into
+  ``workers`` contiguous pieces of axis 0;
 * **residue-channel fan-out** — :func:`parallel_rns_mul` dispatches the
   per-prime convolutions of one RNS ring multiplication as independent
-  shards of a single batch (this is the paper's observation that RNS
-  limbs are embarrassingly parallel, applied at the process level).
+  one-row shards of a single batch, each with its own ``(q, psi,
+  root)`` (this is the paper's observation that RNS limbs are
+  embarrassingly parallel, applied at the process level).
 
 Plans accept an explicit executor; otherwise they dispatch to the
 process default (see :func:`~repro.par.executor.default_executor`),
@@ -61,48 +65,79 @@ def shard_bounds(total: int, shards: int) -> List[Tuple[int, int]]:
     return bounds
 
 
-def _run_sharded(
+def _run_steps(
     executor: Optional[ParallelExecutor],
-    meta: dict,
-    axis_key: str,
-    total: int,
-    inputs: Dict[str, np.ndarray],
-    shape: Sequence[int],
-) -> np.ndarray:
-    """Stage ``inputs`` into shared memory, shard, run, collect the output.
+    op: str,
+    steps: Sequence[dict],
+    arrays: Dict[str, np.ndarray],
+    as_ints: bool,
+    params: dict,
+    flat: bool = False,
+    shard_params: Optional[Sequence[dict]] = None,
+):
+    """Stage coerced operands, run ``steps`` sharded over axis 0, collect.
 
-    All input arrays and the output share ``shape``; ``axis_key`` is
-    ``"rows"`` (transforms shard whole batch rows) or ``"elems"`` (BLAS
-    shards the flattened element axis). Segments are always released
-    before returning, even when execution raises.
-
-    The ``par.batch`` span brackets staging + run + collection, so a
-    profile separates shared-memory copy overhead from pool time.
+    ``arrays`` maps the chain's input registers to operands already
+    coerced and range-checked by the fast twin, all of one shape.
+    Transform operands are staged as ``(rows, n, 2)`` (a flat ``(n,)``
+    vector is one row); with ``flat`` (BLAS) they are flattened to
+    ``(elements, 2)`` so every element is a row. ``params`` (``q``, plus
+    ``n``/``root``/``psi`` as the steps need) go into every shard's spec;
+    ``shard_params`` instead gives one dict per row and makes each row
+    its own shard (RNS: one prime per row). ``op`` names the call for
+    the engine counters and the ``par.batch`` span. The result has the
+    operands' shape, as Python ints when ``as_ints``.
 
     Staging goes through the executor's :class:`~repro.par.shm.ArenaPool`:
     segments are leased for the batch and returned to the pool's free
-    lists afterwards, so steady-state batches reuse the same segments
-    (and the workers' attachment caches) with zero shm syscalls.
+    lists afterwards (even when execution raises), so steady-state
+    batches reuse the same segments (and the workers' attachment caches)
+    with zero shm syscalls. The ``par.batch`` span brackets staging +
+    run + collection, so a profile separates shared-memory copy overhead
+    from pool time.
     """
-    executor = executor or default_executor()
+    first = next(iter(arrays.values()))
+    shape = first.shape
+    for name, arr in arrays.items():
+        if arr.shape != shape:
+            raise NttParameterError(
+                f"operand {name!r} has shape {arr.shape[:-1]}, "
+                f"expected {shape[:-1]}"
+            )
+    record_engine_call("parallel", op, first.size // 2)
+    rows = (-1, 2) if flat else (-1,) + shape[-2:]
+    staged_shape = first.reshape(rows).shape
+    total = staged_shape[0]
     if total <= 0:
         # Empty batch: the identity-shaped result, with no segment
         # staging and no pool round trip for zero work.
-        return np.zeros(tuple(shape), dtype=LIMB_DTYPE)
-    with span("par.batch", op=meta.get("op"), axis=axis_key, total=int(total)):
+        out = np.zeros(shape, dtype=LIMB_DTYPE)
+        return limbs_to_ints(out) if as_ints else out
+    executor = executor or default_executor()
+    meta = dict(
+        params,
+        op="chain",
+        steps=[dict(step) for step in steps],
+        inputs=list(arrays),
+    )
+    with span("par.batch", op=op, total=int(total)):
         segments = []
         try:
             names = {}
-            for key, arr in inputs.items():
-                seg, view = executor.arena.lease(shape)
-                view[...] = arr
+            for name, arr in arrays.items():
+                seg, view = executor.arena.lease(staged_shape)
+                view[...] = arr.reshape(rows)
                 del view
                 segments.append(seg)
-                names[key] = seg.name
-            out_seg, out_view = executor.arena.lease(shape)
+                names[name] = seg.name
+            out_seg, out_view = executor.arena.lease(staged_shape)
             segments.append(out_seg)
-            bounds = shard_bounds(total, executor.suggest_shards(meta, total))
-            sums_name, sums_seg = None, None
+            if shard_params is None:
+                shards = executor.suggest_shards(meta, total)
+                bounds = shard_bounds(total, shards)
+            else:
+                bounds = [(row, row + 1) for row in range(total)]
+            sums_name = None
             if executor.integrity:
                 # One CRC-32 slot per shard, written by the worker right
                 # after its payload and re-verified by the executor on
@@ -115,24 +150,33 @@ def _run_sharded(
             for index, (start, stop) in enumerate(bounds):
                 spec = dict(meta)
                 spec.update(names)
-                spec["shape"] = list(shape)
-                spec[axis_key] = [start, stop]
+                if shard_params is not None:
+                    spec.update(shard_params[index])
+                spec["shape"] = list(staged_shape)
+                spec["rows"] = [start, stop]
                 spec["out"] = out_seg.name
                 if sums_name is not None:
                     spec["shard_index"] = index
                     spec["sums"] = sums_name
                     spec["sums_len"] = len(bounds)
                 specs.append(spec)
-            if meta.get("op") == "chain":
-                record_fused_chain(len(meta["steps"]), len(bounds))
+            record_fused_chain(len(meta["steps"]), len(bounds))
             executor.run(specs)
             executor.audit(specs)
-            result = np.array(out_view, copy=True)
+            out = np.array(out_view, copy=True).reshape(shape)
             del out_view
-            return result
         finally:
             for seg in segments:
                 executor.arena.release(seg)
+    return limbs_to_ints(out) if as_ints else out
+
+
+def _plan_params(ntt: FastNtt, neg: Optional[FastNegacyclic] = None) -> dict:
+    """The spec parameters a worker rebuilds ``ntt`` (and ``neg``) from."""
+    params = {"n": ntt.n, "q": ntt.q, "root": ntt.table.root}
+    if neg is not None:
+        params["psi"] = neg.psi
+    return params
 
 
 class ParNtt:
@@ -177,31 +221,13 @@ class ParNtt:
 
     def forward(self, values, natural_order: bool = True):
         """Forward NTT, row-sharded when given ``(batch, n)`` input."""
-        return self._transform(values, "forward", natural_order)
+        steps = fast_chain.ntt_steps("forward", natural_order)
+        return self._run("ntt.forward", steps, x=values)
 
     def inverse(self, values, natural_order: bool = True):
         """Inverse NTT including the ``1/n`` scaling (row-sharded)."""
-        return self._transform(values, "inverse", natural_order)
-
-    def _transform(self, values, direction: str, natural_order: bool):
-        x, as_ints = self.plan._coerce(values)
-        record_engine_call("parallel", f"ntt.{direction}", x.size // 2)
-        flat = x.ndim == 2
-        batch = x[np.newaxis] if flat else x
-        meta = {
-            "op": "ntt",
-            "n": self.plan.n,
-            "q": self.plan.q,
-            "root": self.plan.table.root,
-            "direction": direction,
-            "natural_order": bool(natural_order),
-        }
-        out = _run_sharded(
-            self.executor, meta, "rows", batch.shape[0], {"x": batch}, batch.shape
-        )
-        if flat:
-            out = out[0]
-        return limbs_to_ints(out) if as_ints else out
+        steps = fast_chain.ntt_steps("inverse", natural_order)
+        return self._run("ntt.inverse", steps, x=values)
 
     def pointwise_mul(self, f, g):
         """Element-wise spectral product (in-process: one vector pass)."""
@@ -209,29 +235,13 @@ class ParNtt:
 
     def cyclic_multiply(self, f, g):
         """Length-``n`` cyclic convolution, row-sharded over the pool."""
-        fa, as_ints = self.plan._coerce(f)
-        ga, _ = self.plan._coerce(g)
-        record_engine_call("parallel", "ntt.cyclic_mul", fa.size // 2)
-        flat = fa.ndim == 2
-        if flat:
-            fa, ga = fa[np.newaxis], ga[np.newaxis]
-        meta = {
-            "op": "cyclic_mul",
-            "n": self.plan.n,
-            "q": self.plan.q,
-            "root": self.plan.table.root,
-        }
-        out = _run_sharded(
-            self.executor,
-            meta,
-            "rows",
-            fa.shape[0],
-            {"x": fa, "y": ga},
-            fa.shape,
+        return self._run("ntt.cyclic_mul", fast_chain.CYCLIC_MUL_STEPS, x=f, y=g)
+
+    def _run(self, op: str, steps, **operands):
+        arrays, as_ints = self.plan._coerce_operands(operands)
+        return _run_steps(
+            self.executor, op, steps, arrays, as_ints, _plan_params(self.plan)
         )
-        if flat:
-            out = out[0]
-        return limbs_to_ints(out) if as_ints else out
 
 
 class ParNegacyclic:
@@ -286,66 +296,27 @@ class ParNegacyclic:
 
     def multiply(self, f, g):
         """Negacyclic product ``f * g mod (x^n + 1, q)``, row-sharded."""
-        fa, as_ints = self.fast.plan._coerce(f)
-        ga, _ = self.fast.plan._coerce(g)
-        record_engine_call("parallel", "ntt.polymul", fa.size // 2)
-        flat = fa.ndim == 2
-        if flat:
-            fa, ga = fa[np.newaxis], ga[np.newaxis]
-        meta = {
-            "op": "negacyclic_mul",
-            "n": self.fast.n,
-            "q": self.fast.q,
-            "psi": self.fast.psi,
-            "root": self.fast.plan.table.root,
-        }
-        out = _run_sharded(
-            self.executor,
-            meta,
-            "rows",
-            fa.shape[0],
-            {"x": fa, "y": ga},
-            fa.shape,
+        return self._run(
+            "ntt.polymul", fast_chain.NEGACYCLIC_MUL_STEPS, x=f, y=g
         )
-        if flat:
-            out = out[0]
-        return limbs_to_ints(out) if as_ints else out
 
     def multiply_add(self, f, g, acc):
         """Fused ``f * g + acc mod (x^n + 1, q)`` — one dispatch per shard.
 
-        The keyswitch-shaped multiply-accumulate: previously this cost a
-        ``multiply`` batch plus a BLAS ``vector_add`` batch (two pool
-        round trips, two stagings of the intermediate product); as a
-        fused chain the product never leaves the worker.
+        The keyswitch-shaped multiply-accumulate: the product never
+        leaves the worker, so this costs one pool round trip instead of
+        a ``multiply`` batch plus a BLAS ``vector_add`` batch.
         """
-        fa, as_ints = self.fast.plan._coerce(f)
-        ga, _ = self.fast.plan._coerce(g)
-        za, _ = self.fast.plan._coerce(acc)
-        record_engine_call("parallel", "ntt.polymul_add", fa.size // 2)
-        flat = fa.ndim == 2
-        if flat:
-            fa, ga, za = fa[np.newaxis], ga[np.newaxis], za[np.newaxis]
-        meta = {
-            "op": "chain",
-            "n": self.fast.n,
-            "q": self.fast.q,
-            "psi": self.fast.psi,
-            "root": self.fast.plan.table.root,
-            "steps": [dict(s) for s in fast_chain.NEGACYCLIC_MUL_ADD_STEPS],
-            "inputs": ["x", "y", "z"],
-        }
-        out = _run_sharded(
-            self.executor,
-            meta,
-            "rows",
-            fa.shape[0],
-            {"x": fa, "y": ga, "z": za},
-            fa.shape,
+        return self._run(
+            "ntt.polymul_add",
+            fast_chain.NEGACYCLIC_MUL_ADD_STEPS,
+            x=f, y=g, z=acc,
         )
-        if flat:
-            out = out[0]
-        return limbs_to_ints(out) if as_ints else out
+
+    def _run(self, op: str, steps, **operands):
+        arrays, as_ints = self.fast.plan._coerce_operands(operands)
+        params = _plan_params(self.fast.plan, self.fast)
+        return _run_steps(self.executor, op, steps, arrays, as_ints, params)
 
 
 class ParChain:
@@ -417,42 +388,11 @@ class ParChain:
                 f"chain reads input registers {missing} that were not "
                 f"provided (got {sorted(inputs)})"
             )
-        coerced = {}
-        as_ints = False
-        flat = False
-        shape = None
-        for name in needed:
-            arr, ints = self.ntt._coerce(inputs[name])
-            if not coerced:
-                as_ints = ints
-                flat = arr.ndim == 2
-            if arr.ndim == 2:
-                arr = arr[np.newaxis]
-            if shape is None:
-                shape = arr.shape
-            elif arr.shape != shape:
-                raise NttParameterError(
-                    f"chain input {name!r} has shape {arr.shape[:-1]}, "
-                    f"expected {shape[:-1]}"
-                )
-            coerced[name] = arr
-        record_engine_call("parallel", "chain", coerced[needed[0]].size // 2)
-        meta = {
-            "op": "chain",
-            "n": self.ntt.n,
-            "q": self.ntt.q,
-            "root": self.ntt.table.root,
-            "steps": steps,
-            "inputs": needed,
-        }
-        if self.neg is not None:
-            meta["psi"] = self.neg.psi
-        out = _run_sharded(
-            self.executor, meta, "rows", shape[0], coerced, shape
+        arrays, as_ints = self.ntt._coerce_operands(
+            {name: inputs[name] for name in needed}
         )
-        if flat:
-            out = out[0]
-        return limbs_to_ints(out) if as_ints else out
+        params = _plan_params(self.ntt, self.neg)
+        return _run_steps(self.executor, "chain", steps, arrays, as_ints, params)
 
 
 class ParBlasPlan:
@@ -460,8 +400,8 @@ class ParBlasPlan:
 
     Mirrors :class:`repro.fast.blas.FastBlasPlan`: operands are coerced
     and validated in-process (so errors surface immediately with the
-    fast engine's messages), then the flattened element range is cut
-    into one contiguous piece per worker.
+    fast engine's messages), then flattened to ``(elements, 2)`` and cut
+    along axis 0 into one contiguous piece per worker.
     """
 
     def __init__(
@@ -493,23 +433,15 @@ class ParBlasPlan:
 
     def _sharded(self, blas_op: str, x, y, a: Optional[int] = None):
         xa, ya, as_ints = self.fast._coerce_pair(x, y)
-        record_engine_call("parallel", f"blas.{blas_op}", xa.size // 2)
-        shape = xa.shape
-        flat_x = np.ascontiguousarray(xa.reshape(-1, 2))
-        flat_y = np.ascontiguousarray(ya.reshape(-1, 2))
-        meta = {"op": "blas", "q": self.q, "blas_op": blas_op}
-        if a is not None:
-            meta["a"] = a
-        out = _run_sharded(
+        return _run_steps(
             self.executor,
-            meta,
-            "elems",
-            flat_x.shape[0],
-            {"x": flat_x, "y": flat_y},
-            flat_x.shape,
+            f"blas.{blas_op}",
+            fast_chain.blas_steps(blas_op, a),
+            {"x": xa, "y": ya},
+            as_ints,
+            {"q": self.q},
+            flat=True,
         )
-        out = out.reshape(shape)
-        return limbs_to_ints(out) if as_ints else out
 
 
 def parallel_rns_mul(
@@ -522,83 +454,41 @@ def parallel_rns_mul(
 
     Packs the ``k`` per-prime residue polynomials of both operands into
     single ``(k, n, 2)`` shared segments and dispatches ``k`` one-row
-    convolution shards (negacyclic or cyclic, matching the ring) in a
-    single pool batch — every prime's NTTs run concurrently instead of
-    the sequential per-prime loop of the in-process engines.
+    convolution shards (negacyclic or cyclic, matching the ring), each
+    carrying its own prime's ``(q, psi, root)``, in a single pool batch
+    — every prime's NTTs run concurrently instead of the sequential
+    per-prime loop of the in-process engines.
 
     ``ring`` is an :class:`repro.rns.poly.RnsPolynomialRing` built with
-    ``engine="parallel"`` (anything exposing the same per-prime plans
-    works). Returns the residue rows as lists of ints.
+    the fast or parallel engine (anything exposing the same per-prime
+    plans works). Returns the residue rows as lists of ints.
     """
-    primes = ring.basis.primes
-    k, n = len(primes), ring.n
     fa = limbs_from_ints(f_residues)
     ga = limbs_from_ints(g_residues)
-    # Validate in-process, per prime, so a bad operand fails fast with
-    # the fast engine's error instead of a retried worker failure.
-    for i, q in enumerate(primes):
-        plan = ring._ntt[q]
-        fast_ntt = plan.fast_plan.plan if ring.negacyclic else plan.fast_plan
-        fast_ntt.mod.check_reduced(fa[i])
-        fast_ntt.mod.check_reduced(ga[i])
-    record_engine_call("parallel", "rns.mul", k * n)
-    executor = executor or default_executor()
-    shape = (k, n, 2)
-    segments = []
-    batch_span = span("par.batch", op="rns.mul", axis="rows", total=k)
-    batch_span.__enter__()
-    try:
-        x_seg, x_view = executor.arena.lease(shape)
-        x_view[...] = fa
-        del x_view
-        segments.append(x_seg)
-        y_seg, y_view = executor.arena.lease(shape)
-        y_view[...] = ga
-        del y_view
-        segments.append(y_seg)
-        out_seg, out_view = executor.arena.lease(shape)
-        segments.append(out_seg)
-        sums_name = None
-        if executor.integrity:
-            sums_seg, sums_view = executor.arena.lease((k,))
-            del sums_view
-            segments.append(sums_seg)
-            sums_name = sums_seg.name
-        specs = []
-        for i, q in enumerate(primes):
-            plan = ring._ntt[q]
-            if ring.negacyclic:
-                neg = plan.fast_plan
-                spec = {
-                    "op": "negacyclic_mul",
-                    "n": n,
-                    "q": q,
-                    "psi": neg.psi,
-                    "root": neg.plan.table.root,
-                }
-            else:
-                spec = {
-                    "op": "cyclic_mul",
-                    "n": n,
-                    "q": q,
-                    "root": plan.fast_plan.table.root,
-                }
-            spec.update(
-                x=x_seg.name,
-                y=y_seg.name,
-                out=out_seg.name,
-                shape=list(shape),
-                rows=[i, i + 1],
-            )
-            if sums_name is not None:
-                spec.update(shard_index=i, sums=sums_name, sums_len=k)
-            specs.append(spec)
-        executor.run(specs)
-        executor.audit(specs)
-        out = np.array(out_view, copy=True)
-        del out_view
-    finally:
-        for seg in segments:
-            executor.arena.release(seg)
-        batch_span.__exit__(None, None, None)
-    return [limbs_to_ints(out[i]) for i in range(k)]
+    shard_params = []
+    for i, q in enumerate(ring.basis.primes):
+        fast = ring._ntt[q].fast_plan
+        if ring.negacyclic:
+            params = _plan_params(fast.plan, fast)
+            ntt = fast.plan
+        else:
+            params = _plan_params(fast)
+            ntt = fast
+        # Validate in-process, per prime, so a bad operand fails fast
+        # with the fast engine's error instead of a retried worker failure.
+        ntt.mod.check_reduced(fa[i])
+        ntt.mod.check_reduced(ga[i])
+        shard_params.append(params)
+    steps = (
+        fast_chain.NEGACYCLIC_MUL_STEPS if ring.negacyclic
+        else fast_chain.CYCLIC_MUL_STEPS
+    )
+    return _run_steps(
+        executor,
+        "rns.mul",
+        steps,
+        {"x": fa, "y": ga},
+        True,
+        {"n": ring.n},
+        shard_params=shard_params,
+    )

@@ -507,11 +507,15 @@ class ParallelExecutor:
 
     @staticmethod
     def _op_signature(spec: dict) -> str:
-        """History key for adaptive sizing: op + size + chain length."""
+        """History key for adaptive sizing: size + the chain's step kinds.
+
+        ``n`` sizes transform chains and ``q`` BLAS-only ones, so each op
+        shape (a transform, a cyclic or negacyclic product, a fused
+        multiply-add, a BLAS op) keeps its own compute history.
+        """
         size = spec.get("n") or spec.get("q") or 0
-        steps = spec.get("steps")
-        suffix = f":{len(steps)}" if steps else ""
-        return f"{spec.get('op')}:{size}{suffix}"
+        kinds = "+".join(step["kind"] for step in spec.get("steps") or ())
+        return f"{spec.get('op')}:{size}:{kinds}"
 
     def suggest_shards(self, meta: dict, total: int) -> int:
         """How many shards a batch of ``total`` items should dispatch.
@@ -544,7 +548,7 @@ class ParallelExecutor:
         wall time (compute + plan + shm mapping) when no session was
         active — a coarser but still serviceable signal.
         """
-        bounds = spec.get("rows") or spec.get("elems")
+        bounds = spec.get("rows")
         if not bounds:
             return
         items = max(1, int(bounds[1]) - int(bounds[0]))

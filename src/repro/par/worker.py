@@ -1,10 +1,14 @@
 """Worker-side execution of sharded fast-engine tasks.
 
-A worker is a long-lived process pulling task *specs* — small picklable
-dicts naming an operation, its modular parameters, shared-memory segment
-names, and the shard (row or element range) to compute — off a queue.
-All heavy data stays in shared memory; the worker maps it, runs the
-NumPy fast engine on its slice, and writes the result rows in place.
+A worker is a long-lived process pulling task *specs* off a queue. Every
+spec is a fused chain (``op="chain"``, see :mod:`repro.fast.chain`): its
+step list, the registers it reads (``inputs``), its modular parameters
+(``q``, plus ``n``/``root`` when it transforms and ``psi`` when it
+twists), shared-memory segment names, and the ``rows`` of axis 0 the
+shard owns — polynomial rows for transforms, elements of a flat
+``(elements, 2)`` array for BLAS chains. All heavy data stays in shared
+memory; the worker maps it, runs the chain on its slice, and writes the
+result rows in place.
 
 Per-worker caches keep :class:`~repro.fast.ntt.FastNtt` /
 :class:`~repro.fast.ntt.FastNegacyclic` / :class:`~repro.fast.blas.FastBlasPlan`
@@ -131,6 +135,25 @@ def blas_plan(q: int) -> FastBlasPlan:
     return plan
 
 
+def chain_plans(
+    spec: dict,
+) -> Tuple[Optional[FastNtt], Optional[FastNegacyclic], FastBlasPlan]:
+    """The cached plans a chain spec runs on: ``(ntt, neg, blas)``.
+
+    A spec with ``psi`` gets a negacyclic plan (twist steps), one with
+    ``n`` a transform plan; a BLAS-only chain names neither.
+    """
+    q = spec["q"]
+    neg = None
+    ntt = None
+    if spec.get("psi") is not None:
+        neg = negacyclic_plan(spec["n"], q, spec["psi"], spec["root"])
+        ntt = neg.plan
+    elif spec.get("n") is not None:
+        ntt = ntt_plan(spec["n"], q, spec["root"])
+    return ntt, neg, blas_plan(q)
+
+
 def plan_cache_sizes() -> Dict[str, int]:
     """Sizes of the per-process plan caches (introspection for tests)."""
     return {
@@ -180,88 +203,22 @@ def execute_spec(spec: dict, in_worker: bool = False) -> None:
         def view_of(key: str) -> np.ndarray:
             return shm.segment_view(attach(spec[key]), spec["shape"])
 
-        if op == "ntt":
-            with span("par.worker.plan", op=op):
-                plan = ntt_plan(spec["n"], spec["q"], spec["root"])
-            with span("par.worker.map_shm", role="in"):
-                data = _slice(view_of("x"), spec["rows"])
-            with span("par.worker.compute", op=op):
-                if spec["direction"] == "forward":
-                    result = plan.forward(
-                        data, natural_order=spec["natural_order"]
-                    )
-                else:
-                    result = plan.inverse(
-                        data, natural_order=spec["natural_order"]
-                    )
-        elif op == "negacyclic_mul":
-            with span("par.worker.plan", op=op):
-                neg = negacyclic_plan(
-                    spec["n"], spec["q"], spec["psi"], spec["root"]
-                )
-            with span("par.worker.map_shm", role="in"):
-                regs = {
-                    "x": _slice(view_of("x"), spec["rows"]),
-                    "y": _slice(view_of("y"), spec["rows"]),
-                }
-            with span("par.worker.compute", op=op):
-                # The fused-chain runner keeps every intermediate on the
-                # r52 substrate (one repack per operand instead of one
-                # per NTT/twist/pointwise step); bit-exact either way.
-                result = fast_chain.run_chain(
-                    fast_chain.NEGACYCLIC_MUL_STEPS, regs, neg.plan, neg=neg
-                )
-        elif op == "cyclic_mul":
-            with span("par.worker.plan", op=op):
-                plan = ntt_plan(spec["n"], spec["q"], spec["root"])
-            with span("par.worker.map_shm", role="in"):
-                regs = {
-                    "x": _slice(view_of("x"), spec["rows"]),
-                    "y": _slice(view_of("y"), spec["rows"]),
-                }
-            with span("par.worker.compute", op=op):
-                result = fast_chain.run_chain(
-                    fast_chain.CYCLIC_MUL_STEPS, regs, plan
-                )
-        elif op == "chain":
-            with span("par.worker.plan", op=op):
-                steps = spec["steps"]
-                if spec.get("psi") is not None:
-                    neg = negacyclic_plan(
-                        spec["n"], spec["q"], spec["psi"], spec["root"]
-                    )
-                    plan = neg.plan
-                else:
-                    neg = None
-                    plan = ntt_plan(spec["n"], spec["q"], spec["root"])
-                bl = blas_plan(spec["q"])
-            with span("par.worker.map_shm", role="in"):
-                regs = {
-                    name: _slice(view_of(name), spec["rows"])
-                    for name in spec["inputs"]
-                }
-            with span("par.worker.compute", op=op, steps=len(steps)):
-                result = fast_chain.run_chain(
-                    steps, regs, plan, neg=neg, blas=bl
-                )
-        elif op == "blas":
-            with span("par.worker.plan", op=op):
-                plan = blas_plan(spec["q"])
-            with span("par.worker.map_shm", role="in"):
-                x = _slice(view_of("x"), spec["elems"])
-                y = _slice(view_of("y"), spec["elems"])
-            with span("par.worker.compute", op=op):
-                blas_op = spec["blas_op"]
-                if blas_op == "axpy":
-                    result = plan.axpy(spec["a"], x, y)
-                else:
-                    result = getattr(plan, blas_op)(x, y)
-        else:
+        if op != "chain":
             raise ParallelExecutionError(f"unknown parallel op {op!r}")
+        steps = spec["steps"]
+        with span("par.worker.plan", op=op):
+            ntt, neg, blas = chain_plans(spec)
+        with span("par.worker.map_shm", role="in"):
+            regs = {
+                name: _slice(view_of(name), spec["rows"])
+                for name in spec["inputs"]
+            }
+        with span("par.worker.compute", op=op, steps=len(steps)):
+            result = fast_chain.run_chain(steps, regs, ntt, neg=neg, blas=blas)
 
         with span("par.worker.map_shm", role="out"):
             out_view = shm.segment_view(attach(spec["out"]), spec["shape"])
-            bounds = spec["rows"] if "rows" in spec else spec["elems"]
+            bounds = spec["rows"]
             out_view[bounds[0] : bounds[1]] = result
         if spec.get(resil_integrity.SUMS_KEY) is not None:
             with span("par.worker.checksum"):

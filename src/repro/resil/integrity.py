@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -40,8 +40,8 @@ SUMS_KEY = "sums"
 
 
 def spec_bounds(spec: dict) -> Tuple[int, int]:
-    """The ``[start, stop)`` slice of the output axis a spec owns."""
-    bounds = spec["rows"] if "rows" in spec else spec["elems"]
+    """The ``[start, stop)`` slice of the output's axis 0 a spec owns."""
+    bounds = spec["rows"]
     return int(bounds[0]), int(bounds[1])
 
 
@@ -81,61 +81,27 @@ def verify_checksum(spec: dict, out_view: np.ndarray, sums_view: np.ndarray) -> 
 
 
 def _faithful_rows(view: np.ndarray, bounds: Tuple[int, int]) -> List[List[int]]:
+    """A shard's rows as Python ints.
+
+    Transform shards own ``(rows, n, 2)`` slices, one coefficient list
+    per row; a BLAS shard owns a run of a flat ``(elements, 2)`` array,
+    which is one vector.
+    """
     from repro.fast.limbs import limbs_to_ints
 
-    return [limbs_to_ints(view[i]) for i in range(bounds[0], bounds[1])]
+    block = view[bounds[0] : bounds[1]]
+    if block.ndim == 2:
+        return [limbs_to_ints(block)]
+    return limbs_to_ints(block)
 
 
 def _recompute_faithful(spec: dict, views: Dict[str, np.ndarray]) -> List[List[int]]:
     """One shard's rows, recomputed on the faithful (ISA-simulated) engine."""
-    from repro.blas.ops import BlasPlan
-    from repro.fast.limbs import limbs_to_ints
     from repro.kernels import get_backend
-    from repro.ntt.negacyclic import NegacyclicNtt
-    from repro.ntt.simd import SimdNtt
 
-    backend = get_backend("scalar")
-    op = spec["op"]
-    bounds = spec_bounds(spec)
-    if op == "ntt":
-        plan = SimdNtt(spec["n"], spec["q"], backend, root=spec["root"])
-        method = plan.forward if spec["direction"] == "forward" else plan.inverse
-        return [
-            method(row, natural_order=spec["natural_order"])
-            for row in _faithful_rows(views["x"], bounds)
-        ]
-    if op == "negacyclic_mul":
-        plan = NegacyclicNtt(spec["n"], spec["q"], backend, psi=spec["psi"])
-        return [
-            plan.multiply(f, g)
-            for f, g in zip(
-                _faithful_rows(views["x"], bounds),
-                _faithful_rows(views["y"], bounds),
-            )
-        ]
-    if op == "cyclic_mul":
-        plan = SimdNtt(spec["n"], spec["q"], backend, root=spec["root"])
-        q = spec["q"]
-        out = []
-        for f, g in zip(
-            _faithful_rows(views["x"], bounds), _faithful_rows(views["y"], bounds)
-        ):
-            fa = plan.forward(f, natural_order=False)
-            ga = plan.forward(g, natural_order=False)
-            prod = [a * b % q for a, b in zip(fa, ga)]
-            out.append(plan.inverse(prod, natural_order=False))
-        return out
-    if op == "blas":
-        plan = BlasPlan(spec["q"], backend)
-        x = limbs_to_ints(views["x"][bounds[0] : bounds[1]])
-        y = limbs_to_ints(views["y"][bounds[0] : bounds[1]])
-        blas_op = spec["blas_op"]
-        if blas_op == "axpy":
-            return [plan.axpy(spec["a"], x, y)]
-        return [getattr(plan, blas_op)(x, y)]
-    if op == "chain":
-        return _faithful_chain(spec, views, bounds, backend)
-    raise ResilienceError(f"cannot audit unknown parallel op {op!r}")
+    if spec["op"] != "chain":
+        raise ResilienceError(f"cannot audit unknown parallel op {spec['op']!r}")
+    return _faithful_chain(spec, views, spec_bounds(spec), get_backend("scalar"))
 
 
 def _faithful_chain(
@@ -148,20 +114,24 @@ def _faithful_chain(
 
     Mirrors :func:`repro.fast.chain.run_chain` with every primitive
     replaced by its ISA-simulated (or exact big-int) counterpart:
-    :class:`~repro.ntt.simd.SimdNtt` transforms, explicit psi-power
-    twists, schoolbook pointwise products and
-    :class:`~repro.blas.ops.BlasPlan` vector ops.
+    :class:`~repro.ntt.simd.SimdNtt` transforms (built only when the
+    chain transforms), explicit psi-power twists, schoolbook pointwise
+    products and :class:`~repro.blas.ops.BlasPlan` vector ops.
     """
     from repro.arith.modular import inv_mod
     from repro.blas.ops import BlasPlan
     from repro.ntt.simd import SimdNtt
 
-    n, q = int(spec["n"]), int(spec["q"])
-    plan = SimdNtt(n, q, backend, root=spec["root"])
+    q = int(spec["q"])
+    steps = spec["steps"]
+    plan = None
+    if any(step["kind"] == "ntt" for step in steps):
+        plan = SimdNtt(int(spec["n"]), q, backend, root=spec["root"])
     blas = BlasPlan(q, backend)
     psi = spec.get("psi")
     twist = untwist = None
     if psi is not None:
+        n = int(spec["n"])
         psi_inv = inv_mod(int(psi), q)
         twist = [pow(int(psi), i, q) for i in range(n)]
         untwist = [pow(psi_inv, i, q) for i in range(n)]
@@ -169,9 +139,9 @@ def _faithful_chain(
         name: _faithful_rows(views[name], bounds) for name in spec["inputs"]
     }
     out: List[List[int]] = []
-    for row in range(bounds[1] - bounds[0]):
+    for row in range(len(input_rows[spec["inputs"][0]])):
         regs = {name: rows[row] for name, rows in input_rows.items()}
-        for step in spec["steps"]:
+        for step in steps:
             kind = step["kind"]
             if kind == "ntt":
                 method = (
@@ -244,7 +214,6 @@ def audit_shards(
     Returns the number of shards audited; raises
     :class:`~repro.errors.ResilIntegrityError` on any divergence.
     """
-    from repro.fast.limbs import limbs_to_ints
     from repro.par import shm
 
     attach = attach or shm.attach_segment
@@ -255,20 +224,13 @@ def audit_shards(
         segments = []
         try:
             views: Dict[str, np.ndarray] = {}
-            keys = list(
-                dict.fromkeys(["x", "y", "out", *(spec.get("inputs") or ())])
-            )
-            for key in keys:
-                if key in spec and isinstance(spec[key], str):
-                    seg = attach(spec[key])
-                    segments.append(seg)
-                    views[key] = shm.segment_view(seg, spec["shape"])
+            for key in dict.fromkeys([*spec.get("inputs", ()), "out"]):
+                seg = attach(spec[key])
+                segments.append(seg)
+                views[key] = shm.segment_view(seg, spec["shape"])
             expected = _recompute_faithful(spec, views)
             bounds = spec_bounds(spec)
-            if spec["op"] == "blas":
-                got = [limbs_to_ints(views["out"][bounds[0] : bounds[1]])]
-            else:
-                got = _faithful_rows(views["out"], bounds)
+            got = _faithful_rows(views["out"], bounds)
             del views
             if got != expected:
                 record_integrity_divergence()

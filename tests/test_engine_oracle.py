@@ -107,11 +107,9 @@ CORNERS = (
 
 
 def with_corners(test):
-    """Add every corner as an explicit example (rings alternate kind)."""
-    params = test.__code__.co_varnames[: test.__code__.co_argcount]
-    for index, corner in enumerate(CORNERS):
-        extra = {"negacyclic": index % 2 == 0} if "negacyclic" in params else {}
-        test = example(case=corner, **extra)(test)
+    """Add every corner as an explicit example."""
+    for corner in CORNERS:
+        test = example(case=corner)(test)
     return test
 
 
@@ -414,9 +412,9 @@ def test_blas(case, pool):
 
 
 @SETTINGS
-@given(case=cases(), negacyclic=st.booleans())
+@given(case=cases())
 @with_corners
-def test_rns_mul(case, negacyclic, pool):
+def test_rns_mul(case, pool):
     primes = list(dict.fromkeys(
         [case.q] + [find_ntt_prime(bits, 2 * case.n) for bits in RNS_WIDTHS]
     ))
@@ -424,23 +422,28 @@ def test_rns_mul(case, negacyclic, pool):
     rng = random.Random(case.seed)
     f_res = [[rng.randrange(p) for _ in range(case.n)] for p in primes]
     g_res = [[rng.randrange(p) for _ in range(case.n)] for p in primes]
-    sign = -1 if negacyclic else +1
-    results = {"exact": [
-        _convolve(a, b, p, sign) for a, b, p in zip(f_res, g_res, primes)
-    ]}
     backend = get_backend("scalar")
     engines = [("fast", mode) for mode in FAST_MODES]
     if _faithful(case):
         engines.append(("faithful", None))
-    for engine, mode in engines:
+    for negacyclic in (True, False):
+        sign = -1 if negacyclic else +1
+        results = {"exact": [
+            _convolve(a, b, p, sign) for a, b, p in zip(f_res, g_res, primes)
+        ]}
+        for engine, mode in engines:
+            ring = RnsPolynomialRing(
+                case.n, basis, backend, negacyclic=negacyclic,
+                engine=engine, fast_mode=mode,
+            )
+            prod = ring.mul(
+                RnsPolynomial(ring, f_res), RnsPolynomial(ring, g_res)
+            )
+            results[f"{engine}-{mode}" if mode else engine] = prod.residues
         ring = RnsPolynomialRing(
-            case.n, basis, backend, negacyclic=negacyclic,
-            engine=engine, fast_mode=mode,
+            case.n, basis, backend, negacyclic=negacyclic, engine="fast"
         )
-        prod = ring.mul(RnsPolynomial(ring, f_res), RnsPolynomial(ring, g_res))
-        results[f"{engine}-{mode}" if mode else engine] = prod.residues
-    ring = RnsPolynomialRing(
-        case.n, basis, backend, negacyclic=negacyclic, engine="fast"
-    )
-    results["parallel"] = parallel_rns_mul(ring, f_res, g_res, executor=pool)
-    _assert_agree(results, f"rns.mul negacyclic={negacyclic} {case}")
+        results["parallel"] = parallel_rns_mul(
+            ring, f_res, g_res, executor=pool
+        )
+        _assert_agree(results, f"rns.mul negacyclic={negacyclic} {case}")

@@ -239,6 +239,13 @@ class TestFastNttCrossValidation:
         same_psi = NegacyclicNtt(16, q, get_backend("scalar"))
         assert got == same_psi.multiply(f, g)
 
+    def test_one_shot_polymul_rejects_empty_and_unequal(self):
+        q = prime_for(100)
+        with pytest.raises(NttParameterError):
+            fast_negacyclic_polymul([], [], q)
+        with pytest.raises(NttParameterError):
+            fast_negacyclic_polymul([1, 2], [1], q)
+
     def test_rejects_unreduced_and_wrong_length(self):
         q = prime_for(100)
         fast = FastNtt(16, q)

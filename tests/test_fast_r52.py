@@ -39,10 +39,10 @@ from repro.fast.r52 import (
 #: Transform order every drawn prime supports (n <= 32 negacyclic).
 ORDER = 64
 
-#: The widths where the representation changes shape: the one/two-limb
-#: boundary (50/51), the two/three-limb boundary (102/103/104/105) and
-#: the top of the supported range.
-BOUNDARY_WIDTHS = (51, 52, 53, 102, 103, 104, 105, 123, 124)
+#: The widths where the representation changes shape: the bottom of
+#: the supported range, the one/two-limb boundary (50/51), the
+#: two/three-limb boundary (102/103/104/105) and the top of the range.
+BOUNDARY_WIDTHS = (13, 50, 51, 52, 53, 102, 103, 104, 105, 123, 124)
 
 
 def _dwmod_reference(op, q, xs, ys):

@@ -292,6 +292,45 @@ class TestFaultTolerance:
             ParallelExecutor(retries=-1)
 
 
+class TestAdaptiveHistoryKeys:
+    def test_each_op_shape_keeps_its_own_key(self, pool, monkeypatch):
+        # Every op now ships as a chain; the adaptive-sizing history key
+        # must still tell the op shapes apart (forward and inverse
+        # transforms share one, as do the four BLAS ops).
+        keys = {}
+        label = []
+        original = pool.run
+
+        def spy(specs, deadline=None):
+            keys.setdefault(label[0], set()).update(
+                pool._op_signature(spec) for spec in specs
+            )
+            return original(specs, deadline)
+
+        monkeypatch.setattr(pool, "run", spy)
+        f, g, z = _vectors(40), _vectors(41), _vectors(42)
+        calls = {
+            "ntt.forward": lambda: ParNtt(N, Q, executor=pool).forward(f),
+            "ntt.inverse": lambda: ParNtt(N, Q, executor=pool).inverse(f),
+            "cyclic": lambda: ParNtt(N, Q, executor=pool).cyclic_multiply(f, g),
+            "negacyclic": lambda: ParNegacyclic(N, Q, executor=pool).multiply(f, g),
+            "multiply_add": lambda: ParNegacyclic(N, Q, executor=pool).multiply_add(
+                f, g, z
+            ),
+            "blas.vector_add": lambda: ParBlasPlan(Q, executor=pool).vector_add(f, g),
+            "blas.axpy": lambda: ParBlasPlan(Q, executor=pool).axpy(3, f, g),
+        }
+        for name, call in calls.items():
+            label[:] = [name]
+            call()
+        assert all(len(found) == 1 for found in keys.values())
+        assert keys["ntt.forward"] == keys["ntt.inverse"]
+        assert keys["blas.vector_add"] == keys["blas.axpy"]
+        shapes = ("ntt.forward", "cyclic", "negacyclic", "multiply_add",
+                  "blas.vector_add")
+        assert len(set().union(*(keys[name] for name in shapes))) == len(shapes)
+
+
 class TestEmptyBatch:
     def test_empty_batch_short_circuits(self, pool):
         plan = ParNtt(N, Q, executor=pool)

@@ -20,10 +20,19 @@ from hypothesis import strategies as st
 from repro.arith.primes import find_ntt_prime
 from repro.errors import ResilienceError, ResilIntegrityError
 from repro.fast.blas import FastBlasPlan
-from repro.fast.ntt import FastNtt
+from repro.fast.chain import CYCLIC_MUL_STEPS, ntt_steps
+from repro.fast.ntt import FastNegacyclic, FastNtt
 from repro.kernels import get_backend
 from repro.obs import observing
-from repro.par import ParallelExecutor, ParBlasPlan, ParNtt, shm
+from repro.par import (
+    ParallelExecutor,
+    ParBlasPlan,
+    ParChain,
+    ParNegacyclic,
+    ParNtt,
+    parallel_rns_mul,
+    shm,
+)
 from repro.resil import (
     CircuitBreaker,
     Deadline,
@@ -35,6 +44,8 @@ from repro.resil import (
 from repro.resil import degrade
 from repro.resil.inject import strip_transient_fault
 from repro.resil.policy import BREAKER_STATES
+from repro.rns.basis import RnsBasis
+from repro.rns.poly import RnsPolynomialRing
 
 N = 16
 Q = find_ntt_prime(62, 2 * N)
@@ -43,6 +54,75 @@ Q = find_ntt_prime(62, 2 * N)
 def _vectors(seed, count=4, n=N, q=Q):
     rng = random.Random(seed)
     return [[rng.randrange(q) for _ in range(n)] for _ in range(count)]
+
+
+def _audited_rns(executor, negacyclic):
+    basis = RnsBasis.generate(2, 50, 2 * N)
+    ring = RnsPolynomialRing(
+        N, basis, get_backend("scalar"), negacyclic=negacyclic, engine="fast"
+    )
+    f = ring.encode(_vectors(25, count=1, q=basis.modulus)[0])
+    g = ring.encode(_vectors(26, count=1, q=basis.modulus)[0])
+    got = parallel_rns_mul(ring, f.residues, g.residues, executor=executor)
+    return got, ring.mul(f, g).residues
+
+
+def _audited_chain(executor):
+    x, y = _vectors(27), _vectors(28)
+    plan = ParChain(N, Q, executor=executor)
+    return (
+        plan.run(CYCLIC_MUL_STEPS, x=x, y=y),
+        FastNtt(N, Q).cyclic_multiply(x, y),
+    )
+
+
+#: Every parallel entry point, as ``executor -> (got, fast result)``.
+AUDITED_CALLS = {
+    "ParNtt.forward": lambda ex: (
+        ParNtt(N, Q, executor=ex).forward(_vectors(23)),
+        FastNtt(N, Q).forward(_vectors(23)),
+    ),
+    "ParNtt.inverse": lambda ex: (
+        ParNtt(N, Q, executor=ex).inverse(_vectors(23), natural_order=False),
+        FastNtt(N, Q).inverse(_vectors(23), natural_order=False),
+    ),
+    "ParNtt.cyclic_multiply": lambda ex: (
+        ParNtt(N, Q, executor=ex).cyclic_multiply(_vectors(23), _vectors(24)),
+        FastNtt(N, Q).cyclic_multiply(_vectors(23), _vectors(24)),
+    ),
+    "ParNegacyclic.multiply": lambda ex: (
+        ParNegacyclic(N, Q, executor=ex).multiply(_vectors(23), _vectors(24)),
+        FastNegacyclic(N, Q).multiply(_vectors(23), _vectors(24)),
+    ),
+    "ParNegacyclic.multiply_add": lambda ex: (
+        ParNegacyclic(N, Q, executor=ex).multiply_add(
+            _vectors(23), _vectors(24), _vectors(25)
+        ),
+        FastBlasPlan(Q).vector_add(
+            FastNegacyclic(N, Q).multiply(_vectors(23), _vectors(24)),
+            _vectors(25),
+        ),
+    ),
+    "ParChain.run": _audited_chain,
+    "ParBlasPlan.vector_add": lambda ex: (
+        ParBlasPlan(Q, executor=ex).vector_add(_vectors(23), _vectors(24)),
+        FastBlasPlan(Q).vector_add(_vectors(23), _vectors(24)),
+    ),
+    "ParBlasPlan.vector_sub": lambda ex: (
+        ParBlasPlan(Q, executor=ex).vector_sub(_vectors(23), _vectors(24)),
+        FastBlasPlan(Q).vector_sub(_vectors(23), _vectors(24)),
+    ),
+    "ParBlasPlan.vector_mul": lambda ex: (
+        ParBlasPlan(Q, executor=ex).vector_mul(_vectors(23), _vectors(24)),
+        FastBlasPlan(Q).vector_mul(_vectors(23), _vectors(24)),
+    ),
+    "ParBlasPlan.axpy": lambda ex: (
+        ParBlasPlan(Q, executor=ex).axpy(7, _vectors(23), _vectors(24)),
+        FastBlasPlan(Q).axpy(7, _vectors(23), _vectors(24)),
+    ),
+    "parallel_rns_mul.negacyclic": lambda ex: _audited_rns(ex, True),
+    "parallel_rns_mul.cyclic": lambda ex: _audited_rns(ex, False),
+}
 
 
 @pytest.fixture(scope="module")
@@ -356,8 +436,8 @@ class TestIntegrity:
         x_seg, x_view, shape = self._segment_with(batch)
         out_seg, out_view, _ = self._segment_with(fast.forward(batch))
         spec = {
-            "op": "ntt", "n": n, "q": q, "root": fast.table.root,
-            "direction": "forward", "natural_order": True,
+            "op": "chain", "n": n, "q": q, "root": fast.table.root,
+            "steps": list(ntt_steps("forward", True)), "inputs": ["x"],
             "shape": list(shape), "rows": [0, 2],
             "x": x_seg.name, "out": out_seg.name, "shard_index": 0,
         }
@@ -393,16 +473,20 @@ class TestIntegrity:
                 assert executor.stats["retries"] == 1
             assert session.metrics.get("par.integrity.corrupt").value == 1
 
-    def test_audit_runs_on_sampled_fraction(self, pool):
-        batch = _vectors(23)
+    @pytest.mark.parametrize("entry", sorted(AUDITED_CALLS))
+    def test_audit_runs_on_sampled_fraction(self, entry):
+        # Every shard of every entry point's batch is re-run on the
+        # faithful chain interpreter: transform rows, BLAS element runs
+        # and per-prime RNS rows alike.
         executor = ParallelExecutor(
-            workers=1, task_timeout=20.0, audit_fraction=1.0
+            workers=2, task_timeout=20.0, audit_fraction=1.0
         )
         with observing() as session:
             with executor:
-                plan = ParNtt(N, Q, executor=executor)
-                assert plan.forward(batch) == FastNtt(N, Q).forward(batch)
+                got, expected = AUDITED_CALLS[entry](executor)
+                assert got == expected
             assert executor.stats["audited"] >= 1
+            assert executor.stats["audited"] == executor.stats["dispatched"]
             assert session.metrics.get("par.integrity.audited").value >= 1
 
     def test_integrity_disabled_skips_checksums(self):
