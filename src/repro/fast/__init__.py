@@ -20,7 +20,9 @@ The fast engine itself has two arithmetic substrates: the double-word
 :mod:`repro.fast.r52` (``"r52"``), which mirrors AVX-512 IFMA's
 ``madd52lo/hi`` split and batches carry propagation once per NTT stage.
 ``mode="auto"`` (the default, overridable via ``REPRO_FAST_MODE``)
-routes to r52 whenever the modulus fits its fast range. See
+routes to r52 whenever the modulus fits its fast range. Plans built
+over a tuple of equal-width primes are channel-stacked: one call runs
+every RNS residue channel (the RNS ring's fast path). See
 ``docs/PERFORMANCE.md`` for the design and measured speedups.
 """
 

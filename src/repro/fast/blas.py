@@ -10,7 +10,7 @@ backends' hoisted ``broadcast_dw`` register.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from repro.errors import ArithmeticDomainError
 from repro.fast.limbs import limbs_from_ints, limbs_to_ints, r52_join, r52_split
 from repro.fast.modular import FastModulus
 from repro.obs.hooks import engine_run_span, record_engine_call, record_r52_call
-from repro.util.checks import check_reduced
 
 IntMatrix = Union[Sequence[int], Sequence[Sequence[int]], np.ndarray]
 
@@ -34,9 +33,15 @@ class FastBlasPlan:
     :class:`FastModulus`); on r52, ``axpy`` additionally derives a
     Shoup constant for its scalar and runs the cheaper
     precomputed-multiplicand product.
+
+    A tuple ``q`` of primes of one bit length gives the channel-stacked
+    plan: operands are ``(k, m)`` stacks, one row per prime, and the
+    ``axpy`` scalar is one value per channel.
     """
 
-    def __init__(self, q: int, mode: Optional[str] = None) -> None:
+    def __init__(
+        self, q: Union[int, Tuple[int, ...]], mode: Optional[str] = None
+    ) -> None:
         self.q = q
         self.mod = FastModulus.get(q, mode)
         self.mode = self.mod.mode
@@ -97,7 +102,7 @@ class FastBlasPlan:
         precomputed-multiplicand form — two limb-plane multiplies and
         one correction instead of a full Barrett reduction per lane.
         """
-        check_reduced(a, self.q, "a")
+        a_block = self.mod.constant(a, "a")
         xa, ya, as_ints = self._coerce_pair(x, y)
         record_engine_call("fast", "blas.axpy", xa.size // 2)
         if self.mod.r52 is not None:
@@ -108,7 +113,6 @@ class FastBlasPlan:
                 prod = r.mulmod_shoup(r52_split(xa, r.limbs), r.shoup(a))
                 out = r52_join(r.addmod(prod, r52_split(ya, r.limbs)))
             else:
-                a_block = limbs_from_ints(a)
                 out = self.mod.addmod(self.mod.mulmod(xa, a_block), ya)
         return limbs_to_ints(out) if as_ints else out
 

@@ -21,7 +21,10 @@ arithmetic substrate**: with an r52 modulus registers stay in 52-bit
 limb-plane form across every step — one ``from_dw`` repack per input,
 one ``to_dw`` per output, rather than per primitive. Every step's
 mathematical output is a fully reduced canonical residue, so chains are
-bit-exact with the faithful engine by construction.
+bit-exact with the faithful engine by construction. On a
+channel-stacked plan (a tuple of equal-width primes, see
+:class:`~repro.fast.ntt.FastNtt`) registers are ``(k, n)`` stacks and
+the same steps run every RNS channel at once.
 
 Step shapes (all plain dicts, pickle/JSON-safe)::
 
@@ -233,6 +236,7 @@ def run_chain(
     bit-identical to the faithful engine.
 
     A chain of BLAS steps only needs ``blas``: ``ntt`` may be ``None``.
+    Without ``blas``, BLAS steps run on ``ntt``'s modulus and substrate.
     """
     if ntt is None and blas is None:
         raise NttParameterError("a chain needs a transform or a BLAS plan")
@@ -293,17 +297,12 @@ def run_chain(
                 raise NttParameterError(
                     "chain has a twist step but no negacyclic plan (psi)"
                 )
-            untwist = step["which"] == "untwist"
+            tw = neg._twist_table(step["which"] == "untwist", r)
             if use_r52:
                 planes = as_r52(regs[step["src"]])
-                pair = (
-                    neg._r52_untwist_pair() if untwist
-                    else neg._r52_twist_pair()
-                )
-                regs[step["dst"]] = ("r52", r.mulmod_shoup(planes, pair))
+                regs[step["dst"]] = ("r52", r.mulmod_shoup(planes, tw))
             else:
                 x = as_dw(regs[step["src"]])
-                tw = neg._untwist if untwist else neg._twist
                 regs[step["dst"]] = ("dw", mod.mulmod(x, tw))
         elif kind == "pointwise":
             if use_r52:
@@ -315,7 +314,7 @@ def run_chain(
                 b = as_dw(regs[step["b"]])
                 regs[step["dst"]] = ("dw", mod.mulmod(a, b))
         else:  # blas (validated)
-            plan = blas if blas is not None else FastBlasPlan(ntt.q)
+            plan = blas if blas is not None else FastBlasPlan(ntt.q, ntt.mode)
             xa = as_dw(regs[step["x"]])
             ya = as_dw(regs[step["y"]])
             op = step["blas_op"]

@@ -15,9 +15,10 @@ backends for any modulus up to 124 bits.
 
 from __future__ import annotations
 
+import copy
 import threading
 from collections import OrderedDict
-from typing import Optional, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,8 +39,9 @@ from repro.fast.limbs import (
     sub128,
     wide_mul_128,
 )
-from repro.fast.r52 import get_r52_modulus, resolve_fast_mode
+from repro.fast.r52 import R52Modulus, get_r52_modulus, resolve_fast_mode
 from repro.obs.hooks import record_fastmod_eviction
+from repro.util.checks import check_reduced
 
 #: Process-wide memoized moduli, keyed by ``(q, resolved_mode)`` and
 #: LRU-bounded like the twiddle cache (see ``FastModulus.get``): an RNS
@@ -64,14 +66,25 @@ class FastModulus:
     stay double-word (the repack would cost more than carry chains on
     an add). The public array layout is ``(..., 2)`` uint64 regardless.
 
+    A *channel-stacked* modulus (``FastModulus.get`` with a tuple of
+    primes of one bit length) serves ``k`` RNS channels at once:
+    operands are ``(k, m, 2)`` stacks, ``q``/``params`` are per-channel
+    tuples and ``m``/``mu`` are ``(k, 1, 2)``, so each channel reduces
+    by its own prime in the same whole-array passes. The Barrett shifts
+    depend only on the shared bit length.
+
     Attributes:
-        q: The modulus (Python int).
-        params: The shared :class:`~repro.arith.barrett.BarrettParams`.
+        q: The modulus (Python int), or the tuple of channel primes.
+        params: The shared :class:`~repro.arith.barrett.BarrettParams`
+            (one per channel when stacked).
         m: The modulus as a ``(2,)`` limb array (broadcasts over vectors).
         mu: Barrett ``mu`` as a ``(2,)`` limb array.
         mode: The resolved substrate, ``"r52"`` or ``"dw"``.
         r52: The bound :class:`~repro.fast.r52.R52Modulus` (or ``None``).
+        channels: The per-channel moduli when stacked, else ``None``.
     """
+
+    channels: Optional[Tuple["FastModulus", ...]] = None
 
     def __init__(self, q: int, mode: Optional[str] = None) -> None:
         check_modulus_128(q)
@@ -85,22 +98,29 @@ class FastModulus:
         self.r52 = get_r52_modulus(q) if self.mode == "r52" else None
 
     @classmethod
-    def get(cls, q: int, mode: Optional[str] = None) -> "FastModulus":
+    def get(
+        cls, q: Union[int, Tuple[int, ...]], mode: Optional[str] = None
+    ) -> "FastModulus":
         """The process-wide memoized modulus for ``(q, mode)``.
 
         Mirrors :meth:`repro.ntt.twiddles.TwiddleTable.get`: every fast
         plan constructs its modulus through this cache, so repeated
         ``RnsPolynomialRing`` channel construction shares one Barrett /
-        r52 precomputation per prime. Evictions bump the
-        ``fastmod.evictions`` counter.
+        r52 precomputation per prime. A tuple ``q`` returns the
+        channel-stacked modulus over those primes (see :meth:`stack`).
+        Evictions bump the ``fastmod.evictions`` counter.
         """
-        key = (q, resolve_fast_mode(mode, q))
+        if isinstance(q, tuple):
+            channels = [cls.get(p, mode) for p in q]
+            key = (q, channels[0].mode)
+        else:
+            key = (q, resolve_fast_mode(mode, q))
         with _MODULUS_LOCK:
             mod = _MODULUS_CACHE.get(key)
             if mod is not None:
                 _MODULUS_CACHE.move_to_end(key)
                 return mod
-        mod = cls(q, mode)
+        mod = cls.stack(channels) if isinstance(q, tuple) else cls(q, mode)
         with _MODULUS_LOCK:
             mod = _MODULUS_CACHE.setdefault(key, mod)
             _MODULUS_CACHE.move_to_end(key)
@@ -121,6 +141,28 @@ class FastModulus:
         with _MODULUS_LOCK:
             return len(_MODULUS_CACHE)
 
+    @classmethod
+    def stack(cls, channels: Sequence["FastModulus"]) -> "FastModulus":
+        """One modulus over ``k`` channel primes of equal bit length."""
+        first = channels[0]
+        if any(
+            ch.beta != first.beta or ch.mode != first.mode or ch.channels
+            for ch in channels
+        ):
+            raise ArithmeticDomainError(
+                "stacked channels must be single primes of one bit length "
+                "and one substrate"
+            )
+        stacked = copy.copy(first)
+        stacked.channels = tuple(channels)
+        stacked.q = tuple(ch.q for ch in channels)
+        stacked.params = tuple(ch.params for ch in channels)
+        stacked.m = np.stack([ch.m for ch in channels])[:, None, :]
+        stacked.mu = np.stack([ch.mu for ch in channels])[:, None, :]
+        if first.r52 is not None:
+            stacked.r52 = R52Modulus.stack([ch.r52 for ch in channels])
+        return stacked
+
     def __repr__(self) -> str:
         return f"FastModulus(q={self.q}, mode={self.mode!r})"
 
@@ -135,14 +177,44 @@ class FastModulus:
         return arr
 
     def check_reduced(self, arr: np.ndarray, name: str = "values") -> None:
-        """Vectorized reduced-operand check (mirrors ``check_reduced``)."""
+        """Vectorized reduced-operand check (mirrors ``check_reduced``).
+
+        A stacked modulus also requires the channel axis (``-3``) to
+        hold exactly one row per channel.
+        """
+        if self.channels is not None and (
+            arr.ndim < 3 or arr.shape[-3] != len(self.channels)
+        ):
+            raise ArithmeticDomainError(
+                f"{name} must stack {len(self.channels)} channels on axis "
+                f"-3, got shape {arr.shape[:-1]}"
+            )
         bad = geq128(arr, self.m)
         if bad.any():
             index = np.argwhere(np.atleast_1d(bad))[0]
+            q = self.q if self.channels is None else self.q[index[-2]]
             raise ArithmeticDomainError(
                 f"{name}[{', '.join(str(i) for i in index)}] is not reduced "
-                f"modulo {self.q}"
+                f"modulo {q}"
             )
+
+    def constant(self, value, name: str = "value") -> np.ndarray:
+        """A reduced constant as a limb array that broadcasts over operands.
+
+        One int (``(2,)`` array), or for a stacked modulus one int per
+        channel (``(k, 1, 2)``).
+        """
+        if self.channels is None:
+            return limbs_from_ints(check_reduced(value, self.q, name))
+        values = list(value)
+        if len(values) != len(self.channels):
+            raise ArithmeticDomainError(
+                f"{name} needs one value per channel ({len(self.channels)}), "
+                f"got {len(values)}"
+            )
+        for v, q in zip(values, self.q):
+            check_reduced(v, q, name)
+        return limbs_from_ints(values)[:, None, :]
 
     # ------------------------------------------------------------------
     # Modular operations (bit-exact against repro.arith.dwmod)

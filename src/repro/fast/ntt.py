@@ -15,8 +15,12 @@ operands and runs a step list through :func:`repro.fast.chain.run_chain`,
 which owns the stage ordering, the twists and the r52 repacking.
 
 The batched API accepts ``(batch, n)`` inputs, transforming every row in
-the same NumPy operations — this is how the RNS pipeline's independent
-residue channels amortize kernel-launch overhead.
+the same NumPy operations. A plan built over a *tuple* of primes of one
+bit length is channel-stacked: its operands are ``(k, n)`` stacks (row
+``c`` reduced mod ``q[c]``), its modulus constants and twiddle, twist
+and ``1/n`` tables carry a leading channel axis, and the same step
+chains run all ``k`` RNS residue channels in each NumPy pass (see
+:class:`repro.rns.poly.RnsPolynomialRing`).
 """
 
 from __future__ import annotations
@@ -25,18 +29,28 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.arith.modular import inv_mod
 from repro.arith.primes import root_of_unity
 from repro.errors import NttParameterError
 from repro.fast import chain
 from repro.fast.limbs import IntVector, limbs_from_ints, limbs_to_ints
 from repro.fast.modular import FastModulus
-from repro.fast.r52 import R52Ntt
-from repro.ntt.twiddles import TwiddleTable, bit_reverse
+from repro.fast.r52 import R52Modulus, R52Ntt
+from repro.ntt.twiddles import ChannelTwiddles, TwiddleTable
 from repro.obs.hooks import engine_run_span, record_engine_call, record_r52_call
 from repro.util.checks import check_power_of_two
 
 IntMatrix = Union[List[int], List[List[int]], np.ndarray]
+IntModuli = Union[int, Tuple[int, ...]]
+
+
+def _bitrev_indices(n: int) -> np.ndarray:
+    """The bit-reversal permutation of ``range(n)`` as an index array."""
+    bits = n.bit_length() - 1
+    idx = np.arange(n, dtype=np.intp)
+    rev = np.zeros(n, dtype=np.intp)
+    for b in range(bits):
+        rev |= ((idx >> b) & 1) << (bits - 1 - b)
+    return rev
 
 
 class FastNtt:
@@ -44,10 +58,14 @@ class FastNtt:
 
     Args:
         n: Transform size (power of two, at least 2).
-        q: NTT-friendly modulus (``n | q - 1``, at most 124 bits).
-        root: Optional explicit primitive ``n``-th root of unity.
+        q: NTT-friendly modulus (``n | q - 1``, at most 124 bits), or a
+            tuple of such primes of one bit length for a channel-stacked
+            plan whose operands are ``(k, n)`` stacks.
+        root: Optional explicit primitive ``n``-th root of unity (one
+            per channel when stacked).
         table: Optional pre-built twiddle table to share with a faithful
-            plan (guarantees both engines use identical twiddles).
+            plan (guarantees both engines use identical twiddles); a
+            :class:`~repro.ntt.twiddles.ChannelTwiddles` when stacked.
         mode: Arithmetic substrate — ``"dw"`` (128-bit schoolbook),
             ``"r52"`` (52-bit redundant limbs with Harvey-lazy stages,
             see :mod:`repro.fast.r52`) or ``"auto"``/``None`` (r52
@@ -58,9 +76,9 @@ class FastNtt:
     def __init__(
         self,
         n: int,
-        q: int,
-        root: Optional[int] = None,
-        table: Optional[TwiddleTable] = None,
+        q: IntModuli,
+        root: Union[None, int, Sequence[int]] = None,
+        table: Union[None, TwiddleTable, ChannelTwiddles] = None,
         mode: Optional[str] = None,
     ) -> None:
         if table is not None:
@@ -70,6 +88,8 @@ class FastNtt:
                     f"not ({n}, {q})"
                 )
             self.table = table
+        elif isinstance(q, tuple):
+            self.table = ChannelTwiddles.get(n, q, root)
         else:
             self.table = TwiddleTable.get(n, q, root or 0)
         self.mod = FastModulus.get(q, mode)
@@ -79,11 +99,8 @@ class FastNtt:
             if self.mod.r52 is not None
             else None
         )
-        bits = n.bit_length() - 1
-        self._bitrev = np.array(
-            [bit_reverse(i, bits) for i in range(n)], dtype=np.intp
-        )
-        self._n_inv = limbs_from_ints(self.table.n_inverse)
+        self._bitrev = _bitrev_indices(n)
+        self._n_inv = self.mod.constant(self.table.n_inverse)
         self._stage_tw: dict = {}
         self._r52_n_inv: Optional[tuple] = None
 
@@ -93,8 +110,8 @@ class FastNtt:
         return self.table.n
 
     @property
-    def q(self) -> int:
-        """Modulus."""
+    def q(self) -> IntModuli:
+        """Modulus (the tuple of channel primes when stacked)."""
         return self.table.q
 
     # ------------------------------------------------------------------
@@ -158,7 +175,8 @@ class FastNtt:
     def _coerce(self, values: IntMatrix) -> Tuple[np.ndarray, bool]:
         as_ints = not isinstance(values, np.ndarray)
         arr = limbs_from_ints(values)
-        if arr.ndim not in (2, 3) or arr.shape[-2] != self.n:
+        ranks = (2, 3) if self.mod.channels is None else (3, 4)
+        if arr.ndim not in ranks or arr.shape[-2] != self.n:
             got = arr.shape[-2] if arr.ndim >= 2 else 0
             raise NttParameterError(f"expected {self.n} values, got {got}")
         self.mod.check_reduced(arr)
@@ -171,7 +189,7 @@ class FastNtt:
         without leaving limb-plane form.
         """
         if self._r52_n_inv is None:
-            self._r52_n_inv = self.mod.r52.shoup(int(self.table.n_inverse))
+            self._r52_n_inv = self.mod.r52.shoup(self.table.n_inverse)
         return self._r52_n_inv
 
     def _stage_twiddles(self, stage: int, inverse: bool) -> np.ndarray:
@@ -204,54 +222,69 @@ class FastNegacyclic:
 
     The same psi-twist formulation as :class:`repro.ntt.negacyclic.NegacyclicNtt`
     (twist by powers of a primitive ``2n``-th root, cyclic convolve,
-    untwist), with the twist tables held as limb arrays so the whole
-    product is a handful of vectorized passes.
+    untwist). The twist tables come from the plan's twiddle table (shared
+    with the faithful plan) and are held in the substrate's form —
+    limb arrays or r52 Shoup pairs — so the whole product is a handful
+    of vectorized passes. A tuple ``q`` (one ``psi`` per channel) gives
+    the channel-stacked plan (see :class:`FastNtt`).
     """
 
     def __init__(
         self,
         n: int,
-        q: int,
-        psi: Optional[int] = None,
+        q: IntModuli,
+        psi: Union[None, int, Sequence[int]] = None,
         plan: Optional[FastNtt] = None,
         mode: Optional[str] = None,
     ) -> None:
         check_power_of_two(n, "n")
-        if (q - 1) % (2 * n):
+        stacked = isinstance(q, tuple)
+        primes = q if stacked else (q,)
+        for p in primes:
+            if (p - 1) % (2 * n):
+                raise NttParameterError(
+                    f"negacyclic multiplication needs 2n | q - 1; "
+                    f"got n={n}, q={p}"
+                )
+        if not psi:
+            psis = tuple(root_of_unity(2 * n, p) for p in primes)
+        else:
+            psis = tuple(psi) if stacked else (psi,)
+        if len(psis) != len(primes):
             raise NttParameterError(
-                f"negacyclic multiplication needs 2n | q - 1; got n={n}, q={q}"
+                f"expected one psi per channel ({len(primes)}), got {len(psis)}"
             )
+        for p, s in zip(primes, psis):
+            if pow(s, 2 * n, p) != 1 or pow(s, n, p) == 1:
+                raise NttParameterError(
+                    f"{s} is not a primitive {2 * n}-th root of unity mod {p}"
+                )
         self.n = n
         self.q = q
-        self.psi = psi or root_of_unity(2 * n, q)
-        if pow(self.psi, 2 * n, q) != 1 or pow(self.psi, n, q) == 1:
-            raise NttParameterError(
-                f"{self.psi} is not a primitive {2 * n}-th root of unity mod {q}"
-            )
-        omega = self.psi * self.psi % q
-        self.plan = plan or FastNtt(n, q, root=omega, mode=mode)
+        self.psi = psis if stacked else psis[0]
+        omegas = tuple(s * s % p for p, s in zip(primes, psis))
+        self.plan = plan or FastNtt(
+            n, q, root=omegas if stacked else omegas[0], mode=mode
+        )
         self.mode = self.plan.mode
-        psi_inv = inv_mod(self.psi, q)
-        self._twist_ints = [pow(self.psi, i, q) for i in range(n)]
-        self._untwist_ints = [pow(psi_inv, i, q) for i in range(n)]
-        self._twist = limbs_from_ints(self._twist_ints)
-        self._untwist = limbs_from_ints(self._untwist_ints)
-        self._r52_twist: Optional[tuple] = None
-        self._r52_untwist: Optional[tuple] = None
+        self._twists: Dict[Tuple[bool, bool], object] = {}
 
-    def _r52_twist_pair(self) -> tuple:
-        """Cached Shoup-vector pair for the psi twist (r52 substrate)."""
-        if self._r52_twist is None:
-            self._r52_twist = self.plan.mod.r52.shoup_vector(self._twist_ints)
-        return self._r52_twist
+    def _twist_table(self, untwist: bool, r52: Optional[R52Modulus] = None):
+        """The psi (``untwist``: psi^-1) powers in substrate form, cached.
 
-    def _r52_untwist_pair(self) -> tuple:
-        """Cached Shoup-vector pair for the psi^-1 untwist (r52 substrate)."""
-        if self._r52_untwist is None:
-            self._r52_untwist = self.plan.mod.r52.shoup_vector(
-                self._untwist_ints
+        A limb array for the double-word substrate, or the Shoup-vector
+        pair for the r52 modulus ``r52``.
+        """
+        key = (untwist, r52 is not None)
+        table = self._twists.get(key)
+        if table is None:
+            powers = self.plan.table.twist_powers(self.psi, inverse=untwist)
+            table = (
+                r52.shoup_vector(powers) if r52 is not None
+                else limbs_from_ints(powers)
             )
-        return self._r52_untwist
+            self._twists[key] = table
+        return table
 
     def forward(self, values: IntMatrix) -> IntMatrix:
         """Twisted forward transform (raw bit-reversed order)."""

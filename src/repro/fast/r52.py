@@ -41,6 +41,7 @@ and the schoolbook fast path in ``tests/test_fast_r52.py``.
 
 from __future__ import annotations
 
+import copy
 import os
 import threading
 from collections import OrderedDict
@@ -98,6 +99,26 @@ _WIN_BITS = _U64(12)
 _SCALE = 2.0 ** -52
 
 LimbPlanes = List[np.ndarray]
+
+
+def _stack_channels(per_channel: Sequence[Sequence]) -> tuple:
+    """Stack per-channel limb sequences on a new leading channel axis.
+
+    ``per_channel[c]`` holds channel ``c``'s ``L`` limbs (scalars or
+    ``(m,)`` planes); limb ``l`` of the result is a ``(k, 1)`` column
+    for scalars, so it broadcasts each channel's constant over that
+    channel's elements, and ``(k, m)`` for planes.
+    """
+    out = []
+    for leaves in zip(*per_channel):
+        arr = np.stack([np.asarray(leaf) for leaf in leaves])
+        out.append(arr[:, None] if arr.ndim == 1 else arr)
+    return tuple(out)
+
+
+def _stack_pairs(pairs: Sequence[tuple]) -> tuple:
+    """Stack per-channel Shoup pairs component by component."""
+    return tuple(_stack_channels(parts) for parts in zip(*pairs))
 
 
 def resolve_fast_mode(mode: Optional[str] = None, q: Optional[int] = None) -> str:
@@ -163,7 +184,15 @@ class R52Modulus:
     boundaries. Canonical planes are strictly below ``2^52``; the lazy
     NTT additionally passes *redundant* planes (below ``2^53``) into
     the Shoup product, which stays exact for them by construction.
+
+    A *channel-stacked* modulus (:meth:`stack`) serves ``k`` primes of
+    one bit length at once: operands are ``(k, m)`` planes and every
+    per-prime constant is a ``(k, 1)`` column, so the same code runs
+    all channels in each NumPy pass.
     """
+
+    #: Per-channel moduli of a channel-stacked modulus (``None`` otherwise).
+    channels: Optional[Tuple["R52Modulus", ...]] = None
 
     def __init__(self, q: int) -> None:
         check_modulus_128(q)
@@ -187,6 +216,39 @@ class R52Modulus:
         )
         self._qf = tuple(_as_floats(self._q, scaled=True))
         self._muf = tuple(_as_floats(self._mu, scaled=True))
+
+    @classmethod
+    def stack(cls, channels: Sequence["R52Modulus"]) -> "R52Modulus":
+        """One modulus over ``k`` channel primes of equal bit length.
+
+        The Barrett shifts and the limb count depend only on the bit
+        length, so they stay scalars; ``q``/``mu`` become per-channel
+        tuples and ``_q``/``_mu``/``_twoq`` and their float images
+        ``(k, 1)`` columns.
+        """
+        first = channels[0]
+        if any(ch.beta != first.beta or ch.channels for ch in channels):
+            raise ArithmeticDomainError(
+                "stacked channels must be single primes of one bit length"
+            )
+        stacked = copy.copy(first)
+        stacked.channels = tuple(channels)
+        stacked.q = tuple(ch.q for ch in channels)
+        stacked.mu = tuple(ch.mu for ch in channels)
+        for name in ("_q", "_mu", "_twoq", "_qf", "_muf"):
+            setattr(stacked, name,
+                    _stack_channels([getattr(ch, name) for ch in channels]))
+        return stacked
+
+    def _per_channel(self, values: Sequence) -> list:
+        """Pair each channel with its value (one per channel required)."""
+        values = list(values)
+        if len(values) != len(self.channels):
+            raise ArithmeticDomainError(
+                f"expected one value per channel ({len(self.channels)}), "
+                f"got {len(values)}"
+            )
+        return list(zip(self.channels, values))
 
     def __repr__(self) -> str:
         return f"R52Modulus(q={self.q}, limbs={self.limbs})"
@@ -403,8 +465,13 @@ class R52Modulus:
 
         Returns ``(w_planes, w_floats, wp_planes, wp_floats)`` where
         ``wp = floor(w * 2^(52L) / q)`` — the 52-bit analogue of
-        :meth:`repro.ifma.kernel.IfmaKernel.shoup_constant`.
+        :meth:`repro.ifma.kernel.IfmaKernel.shoup_constant`. A stacked
+        modulus takes one multiplicand per channel.
         """
+        if self.channels is not None:
+            return _stack_pairs(
+                [ch.shoup(v) for ch, v in self._per_channel(w)]
+            )
         if not 0 <= w < self.q:
             raise ArithmeticDomainError(f"Shoup multiplicand {w} not in [0, q)")
         wp = (w << self.radix_bits) // self.q
@@ -423,7 +490,14 @@ class R52Modulus:
         )
 
     def shoup_vector(self, ws: Sequence[int]) -> tuple:
-        """Vector form of :meth:`shoup` (per-element multiplicands)."""
+        """Vector form of :meth:`shoup` (per-element multiplicands).
+
+        A stacked modulus takes one row of multiplicands per channel.
+        """
+        if self.channels is not None:
+            return _stack_pairs(
+                [ch.shoup_vector(row) for ch, row in self._per_channel(ws)]
+            )
         q = self.q
         mask = (1 << LIMB52_BITS) - 1
         shift = self.radix_bits

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.arith.modular import inv_mod
 from repro.arith.primes import root_of_unity
 from repro.errors import NttParameterError
 from repro.kernels.backend import Backend
@@ -77,9 +76,8 @@ class NegacyclicNtt:
         )
         self.engine = engine
 
-        psi_inv = inv_mod(self.psi, q)
-        self._twist = [pow(self.psi, i, q) for i in range(n)]
-        self._untwist = [pow(psi_inv, i, q) for i in range(n)]
+        self._twist = self.plan.table.twist_powers(self.psi)
+        self._untwist = self.plan.table.twist_powers(self.psi, inverse=True)
         if engine in ("fast", "parallel"):
             from repro.fast.ntt import FastNegacyclic
 

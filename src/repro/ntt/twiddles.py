@@ -10,7 +10,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arith.modular import inv_mod, pow_mod
 from repro.arith.primes import root_of_unity
@@ -91,6 +91,9 @@ class TwiddleTable:
     _powers: List[int] = field(default_factory=list, repr=False)
     _inv_powers: List[int] = field(default_factory=list, repr=False)
     _pease_stages: Dict[bool, List[List[int]]] = field(
+        default_factory=dict, repr=False
+    )
+    _twists: Dict[Tuple[int, bool], List[int]] = field(
         default_factory=dict, repr=False
     )
 
@@ -211,16 +214,39 @@ class TwiddleTable:
             )
         cached = self._pease_stages.setdefault(inverse, [])
         while len(cached) <= stage:
+            # The exponent depends on i only through i mod 2^s, so the
+            # table is its 2^s distinct entries repeated.
             s = len(cached)
             half = self.n >> (s + 1)
-            mask = (1 << s) - 1
-            cached.append(
-                [
-                    self.power(bit_reverse(i & mask, s) * half, inverse)
-                    for i in range(self.n // 2)
-                ]
-            )
+            period = [
+                self.power(bit_reverse(i, s) * half, inverse)
+                for i in range(1 << s)
+            ]
+            cached.append(period * ((self.n // 2) >> s))
         return cached[stage]
+
+    def twist_powers(self, psi: int, inverse: bool = False) -> List[int]:
+        """``psi^i`` (or ``psi^-i``) for ``0 <= i < n``: a negacyclic twist.
+
+        ``psi`` must square to this table's root (a primitive ``2n``-th
+        root of unity). Built once per ``(psi, direction)`` by a running
+        product and shared by every negacyclic plan over this table, on
+        every engine.
+        """
+        if psi * psi % self.q != self.root:
+            raise NttParameterError(
+                f"psi={psi} does not square to the table root {self.root} "
+                f"mod {self.q}"
+            )
+        key = (psi, inverse)
+        cached = self._twists.get(key)
+        if cached is None:
+            step = inv_mod(psi, self.q) if inverse else psi
+            cached = [1] * self.n
+            for i in range(1, self.n):
+                cached[i] = cached[i - 1] * step % self.q
+            cached = self._twists.setdefault(key, cached)
+        return cached
 
     def radix2_stage_twiddles(self, stage: int, inverse: bool = False) -> List[int]:
         """Twiddles for one iterative Cooley-Tukey (DIT) stage.
@@ -235,3 +261,54 @@ class TwiddleTable:
         span = 1 << stage
         step = self.n >> (stage + 1)
         return [self.power(j * step, inverse) for j in range(span)]
+
+
+class ChannelTwiddles:
+    """The twiddle tables of ``k`` RNS channel primes, read as one table.
+
+    A channel-stacked fast plan (see :class:`repro.fast.ntt.FastNtt`)
+    reads every table through this view and gets one row per channel,
+    in channel order; each row comes from that prime's memoized
+    :class:`TwiddleTable`, which stays the only copy of its Python-int
+    tables. ``q``, ``root`` and ``n_inverse`` are per-channel tuples.
+    """
+
+    def __init__(self, tables: Sequence[TwiddleTable]) -> None:
+        if not tables or len({t.n for t in tables}) != 1:
+            raise NttParameterError(
+                "channel tables must be non-empty and share one size n"
+            )
+        self.tables = tuple(tables)
+        self.n = self.tables[0].n
+        self.q = tuple(t.q for t in self.tables)
+        self.root = tuple(t.root for t in self.tables)
+
+    @classmethod
+    def get(
+        cls, n: int, primes: Sequence[int], roots: Optional[Sequence[int]] = None
+    ) -> "ChannelTwiddles":
+        """The view over the memoized tables of ``primes`` (and ``roots``)."""
+        roots = roots or (0,) * len(primes)
+        return cls([TwiddleTable.get(n, q, r) for q, r in zip(primes, roots)])
+
+    @property
+    def stages(self) -> int:
+        """Number of butterfly stages, ``log2 n``."""
+        return self.tables[0].stages
+
+    @property
+    def n_inverse(self) -> Tuple[int, ...]:
+        """``n^-1 mod q`` per channel."""
+        return tuple(t.n_inverse for t in self.tables)
+
+    def pease_stage_twiddles(
+        self, stage: int, inverse: bool = False
+    ) -> List[List[int]]:
+        """One row of Pease stage twiddles per channel."""
+        return [t.pease_stage_twiddles(stage, inverse) for t in self.tables]
+
+    def twist_powers(
+        self, psi: Sequence[int], inverse: bool = False
+    ) -> List[List[int]]:
+        """One row of twist powers per channel (one ``psi`` per channel)."""
+        return [t.twist_powers(p, inverse) for t, p in zip(self.tables, psi)]

@@ -28,14 +28,14 @@ which a ``with ParallelExecutor(...)`` block temporarily replaces.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import NttParameterError
 from repro.fast import chain as fast_chain
 from repro.fast.blas import FastBlasPlan, IntMatrix
-from repro.fast.limbs import LIMB_DTYPE, limbs_from_ints, limbs_to_ints
+from repro.fast.limbs import LIMB_DTYPE, limbs_to_ints
 from repro.fast.ntt import FastNegacyclic, FastNtt
 from repro.ntt.twiddles import TwiddleTable
 from repro.obs.hooks import record_engine_call, record_fused_chain
@@ -446,39 +446,29 @@ class ParBlasPlan:
 
 def parallel_rns_mul(
     ring,
-    f_residues: List[List[int]],
-    g_residues: List[List[int]],
+    f_residues: Union[List[List[int]], np.ndarray],
+    g_residues: Union[List[List[int]], np.ndarray],
     executor: Optional[ParallelExecutor] = None,
-) -> List[List[int]]:
+):
     """One RNS ring multiplication with all residue channels fused.
 
-    Packs the ``k`` per-prime residue polynomials of both operands into
-    single ``(k, n, 2)`` shared segments and dispatches ``k`` one-row
-    convolution shards (negacyclic or cyclic, matching the ring), each
-    carrying its own prime's ``(q, psi, root)``, in a single pool batch
-    — every prime's NTTs run concurrently instead of the sequential
-    per-prime loop of the in-process engines.
+    Stages the ``(k, n, 2)`` residue stacks of both operands into single
+    shared segments and dispatches ``k`` one-row convolution shards
+    (negacyclic or cyclic, matching the ring), each carrying its own
+    prime's ``(q, psi, root)``, in a single pool batch — every prime's
+    NTTs run concurrently instead of one after another in-process.
 
-    ``ring`` is an :class:`repro.rns.poly.RnsPolynomialRing` built with
-    the fast or parallel engine (anything exposing the same per-prime
-    plans works). Returns the residue rows as lists of ints.
+    ``ring`` is an :class:`repro.rns.poly.RnsPolynomialRing`. Operands
+    are ``k`` residue rows of Python ints (the result is then rows of
+    ints) or ``(k, n, 2)`` limb stacks, taken as-is with no list packing
+    (the result is then a stack). Both are validated in-process against
+    the ring — one row per prime, each reduced — so a bad operand fails
+    fast with :class:`~repro.errors.ArithmeticDomainError` instead of a
+    retried worker failure.
     """
-    fa = limbs_from_ints(f_residues)
-    ga = limbs_from_ints(g_residues)
-    shard_params = []
-    for i, q in enumerate(ring.basis.primes):
-        fast = ring._ntt[q].fast_plan
-        if ring.negacyclic:
-            params = _plan_params(fast.plan, fast)
-            ntt = fast.plan
-        else:
-            params = _plan_params(fast)
-            ntt = fast
-        # Validate in-process, per prime, so a bad operand fails fast
-        # with the fast engine's error instead of a retried worker failure.
-        ntt.mod.check_reduced(fa[i])
-        ntt.mod.check_reduced(ga[i])
-        shard_params.append(params)
+    as_ints = not isinstance(f_residues, np.ndarray)
+    fa = ring.as_stack(f_residues)
+    ga = ring.as_stack(g_residues)
     steps = (
         fast_chain.NEGACYCLIC_MUL_STEPS if ring.negacyclic
         else fast_chain.CYCLIC_MUL_STEPS
@@ -488,7 +478,7 @@ def parallel_rns_mul(
         "rns.mul",
         steps,
         {"x": fa, "y": ga},
-        True,
+        as_ints,
         {"n": ring.n},
-        shard_params=shard_params,
+        shard_params=ring.channel_params(),
     )

@@ -9,11 +9,15 @@ This package provides that application layer on top of the kernels:
   NTT-friendly primes with CRT recombination,
 * :class:`~repro.rns.poly.RnsPolynomialRing` - polynomial rings
   ``Z_Q[x]/(x^n - 1)`` (cyclic) or ``Z_Q[x]/(x^n + 1)`` (negacyclic, the
-  RLWE ring) with add/sub/mul running one SIMD NTT pipeline per prime.
+  RLWE ring) with add/sub/mul over a resident ``(k, n, 2)`` residue
+  stack: one ISA-simulated pipeline per prime on the faithful engine,
+  one channel-stacked call per group of equal-width primes on the fast
+  engine.
 
 Per-prime transforms are mutually independent - exactly the batch
 parallelism the Section 6 multi-core argument relies on
-(:mod:`repro.multicore`).
+(:mod:`repro.multicore`), and what lets the fast engine run them as
+one wide pass.
 """
 
 from repro.rns.basis import RnsBasis

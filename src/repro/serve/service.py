@@ -629,11 +629,10 @@ class ReproService:
             ]
         from repro.rns.poly import RnsPolynomial
 
+        # RnsPolynomial validates each operand (one reduced row of n
+        # coefficients per prime), so a malformed request fails alone.
         return [
-            ring.mul(
-                RnsPolynomial(ring, [list(r) for r in f]),
-                RnsPolynomial(ring, [list(r) for r in g]),
-            ).residues
+            ring.mul(RnsPolynomial(ring, f), RnsPolynomial(ring, g)).residues
             for f, g in payloads
         ]
 

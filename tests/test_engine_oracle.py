@@ -32,7 +32,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from repro.arith.primes import find_ntt_prime, root_of_unity
+from repro.arith.primes import find_ntt_prime, is_prime, root_of_unity
 from repro.blas.ops import BlasPlan
 from repro.errors import ArithmeticDomainError
 from repro.fast import chain as fast_chain
@@ -407,43 +407,82 @@ def test_blas(case, pool):
 
 
 # ---------------------------------------------------------------------------
-# RNS ring multiplication
+# RNS ring operations
 # ---------------------------------------------------------------------------
+
+
+def _width_primes(bits: int, order: int, count: int) -> List[int]:
+    """The ``count`` largest ``bits``-bit primes ``= 1 mod order``."""
+    primes = []
+    candidate = ((1 << bits) - 1) // order * order + 1
+    while len(primes) < count:
+        if is_prime(candidate):
+            primes.append(candidate)
+        candidate -= order
+    return primes
 
 
 @SETTINGS
 @given(case=cases())
 @with_corners
 def test_rns_mul(case, pool):
+    """Ring mul/add/sub/scalar_mul on every engine against exact references.
+
+    Two distinct primes of each extra width give every case a stacked
+    channel group of at least two different moduli.
+    """
     primes = list(dict.fromkeys(
-        [case.q] + [find_ntt_prime(bits, 2 * case.n) for bits in RNS_WIDTHS]
+        [case.q] + [p for bits in RNS_WIDTHS
+                    for p in _width_primes(bits, 2 * case.n, 2)]
     ))
     basis = RnsBasis(primes)
     rng = random.Random(case.seed)
     f_res = [[rng.randrange(p) for _ in range(case.n)] for p in primes]
     g_res = [[rng.randrange(p) for _ in range(case.n)] for p in primes]
+    a = rng.randrange(basis.modulus)
+    f_coeffs = [basis.from_rns(column) for column in zip(*f_res)]
+    elementwise = {
+        "add": {"exact": [[(u + v) % p for u, v in zip(fr, gr)]
+                          for fr, gr, p in zip(f_res, g_res, primes)]},
+        "sub": {"exact": [[(u - v) % p for u, v in zip(fr, gr)]
+                          for fr, gr, p in zip(f_res, g_res, primes)]},
+        "scalar_mul": {"exact": [[a * u % p for u in fr]
+                                 for fr, p in zip(f_res, primes)]},
+    }
     backend = get_backend("scalar")
-    engines = [("fast", mode) for mode in FAST_MODES]
+    engines = [("fast", mode) for mode in FAST_MODES] + [("parallel", None)]
     if _faithful(case):
         engines.append(("faithful", None))
     for negacyclic in (True, False):
         sign = -1 if negacyclic else +1
-        results = {"exact": [
-            _convolve(a, b, p, sign) for a, b, p in zip(f_res, g_res, primes)
+        products = {"exact": [
+            _convolve(u, v, p, sign) for u, v, p in zip(f_res, g_res, primes)
         ]}
         for engine, mode in engines:
+            label = f"{engine}-{mode}" if mode else engine
             ring = RnsPolynomialRing(
                 case.n, basis, backend, negacyclic=negacyclic,
                 engine=engine, fast_mode=mode,
             )
-            prod = ring.mul(
-                RnsPolynomial(ring, f_res), RnsPolynomial(ring, g_res)
+            f, g = RnsPolynomial(ring, f_res), RnsPolynomial(ring, g_res)
+            assert f == ring.encode(f_coeffs), label
+            ring_label = f"{label} negacyclic={negacyclic}"
+            elementwise["add"][ring_label] = ring.add(f, g).residues
+            elementwise["sub"][ring_label] = ring.sub(f, g).residues
+            elementwise["scalar_mul"][ring_label] = (
+                ring.scalar_mul(a, f).residues
             )
-            results[f"{engine}-{mode}" if mode else engine] = prod.residues
-        ring = RnsPolynomialRing(
-            case.n, basis, backend, negacyclic=negacyclic, engine="fast"
-        )
-        results["parallel"] = parallel_rns_mul(
-            ring, f_res, g_res, executor=pool
-        )
-        _assert_agree(results, f"rns.mul negacyclic={negacyclic} {case}")
+            if engine == "parallel":
+                # The ring's own mul would dispatch to the process-default
+                # pool; the module pool runs the same fused batch.
+                products["parallel"] = parallel_rns_mul(
+                    ring, f_res, g_res, executor=pool
+                )
+                products["parallel-stack"] = limbs_to_ints(parallel_rns_mul(
+                    ring, f.limbs, g.limbs, executor=pool
+                ))
+            else:
+                products[label] = ring.mul(f, g).residues
+        _assert_agree(products, f"rns.mul negacyclic={negacyclic} {case}")
+    for op, results in elementwise.items():
+        _assert_agree(results, f"rns.{op} {case}")

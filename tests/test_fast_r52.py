@@ -20,7 +20,7 @@ import numpy as np
 from repro.arith.doubleword import dw_from_int, dw_value
 from repro.arith.dwmod import addmod128, mulmod128, submod128
 from repro.arith.primes import find_ntt_prime
-from repro.errors import ArithmeticDomainError
+from repro.errors import ArithmeticDomainError, NttParameterError
 from repro.fast.limbs import limbs_from_ints, limbs_to_ints, r52_join, r52_split
 from repro.fast.modular import FastModulus
 from repro.fast.ntt import FastNegacyclic, FastNtt
@@ -170,6 +170,134 @@ class TestNttModes:
         r52 = FastNtt(n, q, mode="r52")
         assert dw.forward(rows) == r52.forward(rows)
         assert r52.inverse(r52.forward(rows)) == rows
+
+
+    def test_dw_chain_blas_step_records_no_r52_call(self):
+        """A chain's BLAS step runs on the chain's own substrate."""
+        from repro.fast.chain import blas_steps, run_chain
+        from repro.obs import observing
+
+        n = 16
+        q = find_ntt_prime(50, 2 * n)  # auto would pick r52
+        rng = random.Random(3)
+        x = limbs_from_ints([rng.randrange(q) for _ in range(n)])
+        y = limbs_from_ints([rng.randrange(q) for _ in range(n)])
+        for op, a in (("vector_mul", None), ("axpy", 7)):
+            with observing() as session:
+                out = run_chain(
+                    blas_steps(op, a), {"x": x, "y": y}, FastNtt(n, q, mode="dw")
+                )
+            assert session.metrics.names("engine.fast.r52.") == []
+            xs, ys = limbs_to_ints(x), limbs_to_ints(y)
+            expected = [
+                (u * v if a is None else a * u + v) % q for u, v in zip(xs, ys)
+            ]
+            assert limbs_to_ints(out) == expected
+
+
+def _width_primes(bits, order, count):
+    """The ``count`` largest ``bits``-bit primes ``= 1 mod order``."""
+    from repro.arith.primes import is_prime
+
+    primes = []
+    candidate = ((1 << bits) - 1) // order * order + 1
+    while len(primes) < count:
+        if is_prime(candidate):
+            primes.append(candidate)
+        candidate -= order
+    return tuple(primes)
+
+
+class TestChannelStacking:
+    """Plans over a tuple of equal-width primes run every channel at once."""
+
+    N = 16
+
+    def _stack(self, primes, seed):
+        rng = random.Random(seed)
+        return [[rng.randrange(q) for _ in range(self.N)] for q in primes]
+
+    def test_constants_gain_a_channel_axis(self):
+        primes = _width_primes(50, 2 * self.N, 3)
+        for mode in ("dw", "r52"):
+            mod = FastModulus.get(primes, mode)
+            assert mod.q == primes and len(mod.channels) == 3
+            assert mod.m.shape == (3, 1, 2)
+            assert limbs_to_ints(mod.m[:, 0]) == list(primes)
+        r = FastModulus.get(primes, "r52").r52
+        assert r.q == primes and r.limbs == 1
+        assert r._q[0].shape == (3, 1) and r._qf[0].dtype == np.float64
+        assert FastModulus.get(primes, "r52") is FastModulus.get(primes, "r52")
+
+    @pytest.mark.parametrize("mode", ["dw", "r52"])
+    @pytest.mark.parametrize("bits", [50, 100, 124])
+    def test_stacked_plans_match_per_prime_plans(self, mode, bits):
+        from repro.fast.blas import FastBlasPlan
+
+        primes = _width_primes(bits, 2 * self.N, 3)
+        f, g = self._stack(primes, bits), self._stack(primes, bits + 1)
+        neg = FastNegacyclic(self.N, primes, mode=mode)
+        ntt = FastNtt(self.N, primes, mode=mode)
+        blas = FastBlasPlan(primes, mode=mode)
+        assert neg.mode == ntt.mode == blas.mode == mode
+        scalars = [q // 3 for q in primes]
+        got = {
+            "negacyclic": neg.multiply(f, g),
+            "twisted": neg.forward(f),
+            "cyclic": ntt.cyclic_multiply(f, g),
+            "forward": ntt.forward(f),
+            "inverse": ntt.inverse(f),
+            "add": blas.vector_add(f, g),
+            "sub": blas.vector_sub(f, g),
+            "mul": blas.vector_mul(f, g),
+            "axpy": blas.axpy(scalars, f, g),
+        }
+        for c, q in enumerate(primes):
+            one_neg = FastNegacyclic(self.N, q, mode=mode)
+            one_ntt = FastNtt(self.N, q, mode=mode)
+            one_blas = FastBlasPlan(q, mode=mode)
+            want = {
+                "negacyclic": one_neg.multiply(f[c], g[c]),
+                "twisted": one_neg.forward(f[c]),
+                "cyclic": one_ntt.cyclic_multiply(f[c], g[c]),
+                "forward": one_ntt.forward(f[c]),
+                "inverse": one_ntt.inverse(f[c]),
+                "add": one_blas.vector_add(f[c], g[c]),
+                "sub": one_blas.vector_sub(f[c], g[c]),
+                "mul": one_blas.vector_mul(f[c], g[c]),
+                "axpy": one_blas.axpy(scalars[c], f[c], g[c]),
+            }
+            for name, rows in got.items():
+                assert rows[c] == want[name], (name, c)
+
+    def test_stacked_inverse_roundtrip(self):
+        primes = _width_primes(60, 2 * self.N, 2)
+        f = self._stack(primes, 5)
+        neg = FastNegacyclic(self.N, primes)
+        assert neg.inverse(neg.forward(f)) == f
+
+    def test_mixed_widths_rejected(self):
+        primes = (_width_primes(50, 2 * self.N, 1)[0],
+                  _width_primes(60, 2 * self.N, 1)[0])
+        with pytest.raises(ArithmeticDomainError):
+            FastModulus.get(primes)
+
+    def test_channel_count_and_reduction_checked(self):
+        from repro.fast.blas import FastBlasPlan
+
+        primes = _width_primes(50, 2 * self.N, 3)
+        blas = FastBlasPlan(primes)
+        f = self._stack(primes, 1)
+        with pytest.raises(ArithmeticDomainError, match="3 channels"):
+            blas.vector_add(f[:2], f[:2])
+        with pytest.raises(ArithmeticDomainError, match="one value per channel"):
+            blas.axpy([1, 2], f, f)
+        bad = [list(row) for row in f]
+        bad[2][5] = primes[2]
+        with pytest.raises(ArithmeticDomainError, match=str(primes[2])):
+            blas.vector_add(bad, f)
+        with pytest.raises(NttParameterError):
+            FastNegacyclic(self.N, primes).multiply(f[0], f[0])
 
 
 class TestModeResolution:

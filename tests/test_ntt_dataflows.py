@@ -74,6 +74,31 @@ class TestTwiddleTable:
         table = TwiddleTable(16, SMALL_Q)
         assert table.pease_stage_twiddles(0) == [1] * 8
 
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_pease_stages_match_per_butterfly_formula(self, inverse):
+        table = TwiddleTable(64, MID_Q)
+        for s in range(table.stages):
+            half = table.n >> (s + 1)
+            mask = (1 << s) - 1
+            expected = [
+                table.power(bit_reverse(i & mask, s) * half, inverse)
+                for i in range(table.n // 2)
+            ]
+            assert table.pease_stage_twiddles(s, inverse) == expected
+
+    def test_twist_powers(self):
+        n = 16
+        omega_table = TwiddleTable(2 * n, SMALL_Q)
+        psi = omega_table.root
+        table = TwiddleTable(n, SMALL_Q, root=psi * psi % SMALL_Q)
+        assert table.twist_powers(psi) == [pow(psi, i, SMALL_Q) for i in range(n)]
+        inverse = table.twist_powers(psi, inverse=True)
+        assert [a * b % SMALL_Q for a, b in zip(inverse, table.twist_powers(psi))] == [1] * n
+        # Built once, shared by every plan over the table.
+        assert table.twist_powers(psi) is table.twist_powers(psi)
+        with pytest.raises(NttParameterError):
+            table.twist_powers(psi + 1)
+
 
 @pytest.mark.parametrize("n", SIZES)
 class TestAgainstNaive:

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,7 @@ from repro.errors import ArithmeticDomainError, NttParameterError
 from repro.kernels import get_backend
 from repro.ntt.reference import negacyclic_schoolbook_polymul
 from repro.rns.basis import RnsBasis
-from repro.rns.poly import RnsPolynomialRing
+from repro.rns.poly import RnsPolynomial, RnsPolynomialRing
 
 N = 16
 ORDER = 2 * N
@@ -150,6 +151,65 @@ class TestValidation:
         basis = RnsBasis.generate(1, 62, 16)
         with pytest.raises(NttParameterError):
             RnsPolynomialRing(16, basis, get_backend("scalar"), negacyclic=True)
+
+
+class TestResidueStack:
+    """Residue rows are validated when a polynomial is built."""
+
+    @pytest.mark.parametrize("engine", ["faithful", "fast"])
+    def test_short_residue_list_rejected(self, basis, engine):
+        ring = RnsPolynomialRing(N, basis, get_backend("mqx"), engine=engine)
+        rows = [[1] + [0] * (N - 1) for _ in basis.primes]
+        with pytest.raises(ArithmeticDomainError, match="one per prime"):
+            RnsPolynomial(ring, rows[:-1])
+        with pytest.raises(ArithmeticDomainError):
+            RnsPolynomial(ring, rows + [rows[0]])
+        with pytest.raises(ArithmeticDomainError):
+            RnsPolynomial(ring, [row[:-1] for row in rows])
+        with pytest.raises(ArithmeticDomainError):
+            RnsPolynomial(ring, [row[:-1] for row in rows[:-1]] + [rows[-1]])
+
+    @pytest.mark.parametrize("engine", ["faithful", "fast"])
+    def test_unreduced_or_non_int_residue_rejected(self, basis, engine):
+        ring = RnsPolynomialRing(N, basis, get_backend("mqx"), engine=engine)
+        rows = [[0] * N for _ in basis.primes]
+        rows[1][3] = basis.primes[1]
+        with pytest.raises(ArithmeticDomainError, match=str(basis.primes[1])):
+            RnsPolynomial(ring, rows)
+        rows[1][3] = -1
+        with pytest.raises(ArithmeticDomainError):
+            RnsPolynomial(ring, rows)
+        rows[1][3] = 0.5
+        with pytest.raises(ArithmeticDomainError):
+            RnsPolynomial(ring, rows)
+        with pytest.raises(ArithmeticDomainError):
+            RnsPolynomial(ring, [0] * N)
+
+    def test_lists_and_limbs_construct_the_same_polynomial(self, basis, rng):
+        ring = RnsPolynomialRing(N, basis, get_backend("mqx"), engine="fast")
+        fc = [rng.randrange(basis.modulus) for _ in range(N)]
+        encoded = ring.encode(fc)
+        rows = [[c % q for c in fc] for q in basis.primes]
+        from_lists = RnsPolynomial(ring, rows)
+        from_limbs = RnsPolynomial(ring, np.array(encoded.limbs))
+        assert from_lists == encoded == from_limbs
+        assert from_lists.residues == rows
+        assert all(type(v) is int for row in encoded.residues for v in row)
+        assert encoded.limbs.shape == (len(basis), N, 2)
+        with pytest.raises(ValueError):
+            encoded.limbs[0, 0, 0] = 1  # the stack is read-only
+        with pytest.raises(ArithmeticDomainError):
+            RnsPolynomial(ring, np.array(encoded.limbs[:-1]))
+
+    def test_fast_ops_keep_the_stack_resident(self, basis, rng):
+        ring = RnsPolynomialRing(N, basis, get_backend("mqx"), engine="fast")
+        big_q = basis.modulus
+        f = ring.encode([rng.randrange(big_q) for _ in range(N)])
+        g = ring.encode([rng.randrange(big_q) for _ in range(N)])
+        for out in (ring.add(f, g), ring.sub(f, g), ring.mul(f, g),
+                    ring.scalar_mul(3, f)):
+            assert out._residues is None  # the list view is built lazily
+            assert out.limbs.shape == (len(basis), N, 2)
 
 
 class TestBackendsAgree:

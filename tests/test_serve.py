@@ -56,6 +56,11 @@ def _faithful_products(pairs, q=Q):
     return [negacyclic_polymul(f, g, q, backend) for f, g in pairs]
 
 
+def basis_lift(basis, rows):
+    """CRT-combine residue rows into coefficients mod ``Q``."""
+    return [basis.from_rns(column) for column in zip(*rows)]
+
+
 class FakeClock:
     def __init__(self, now=0.0):
         self.now = now
@@ -268,6 +273,48 @@ class TestServiceBitExact:
         assert isinstance(results[3], Exception)
         assert not isinstance(results[3], ServeOverloadError)
         assert stats["completed"] == 3 and stats["failed"] == 1
+
+    def test_short_rns_operand_fails_alone(self):
+        """An rns.mul operand with a missing residue row fails by itself."""
+        from repro.errors import ArithmeticDomainError
+        from repro.rns import RnsBasis, RnsPolynomialRing
+
+        basis = RnsBasis.generate(3, 50, 2 * N)
+        ring = RnsPolynomialRing(N, basis, get_backend("avx512"), engine="fast")
+        rng = random.Random(4)
+
+        def operand():
+            return [[rng.randrange(q) for _ in range(N)] for q in basis.primes]
+
+        good = [(operand(), operand()) for _ in range(2)]
+        expected = [
+            ring.mul(ring.encode(basis_lift(basis, f)),
+                     ring.encode(basis_lift(basis, g))).residues
+            for f, g in good
+        ]
+        short = (operand()[:-1], operand()[:-1])
+
+        async def drive():
+            service = ReproService(config=ServeConfig(
+                engine="fast", max_batch=3, max_wait_s=60.0,
+            ))
+            service.register_ring(ring)
+            async with service:
+                futures = [
+                    asyncio.ensure_future(
+                        service.submit("rns.mul", pair, N, basis.modulus)
+                    )
+                    for pair in (good[0], short, good[1])
+                ]
+                results = await asyncio.gather(
+                    *futures, return_exceptions=True
+                )
+            return results, dict(service.stats)
+
+        results, stats = asyncio.run(drive())
+        assert [results[0], results[2]] == expected
+        assert isinstance(results[1], ArithmeticDomainError)
+        assert stats["completed"] == 2 and stats["failed"] == 1
 
     def test_rns_mul_requires_registration(self):
         async def drive():
