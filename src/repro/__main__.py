@@ -35,6 +35,13 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print("backends:", ", ".join(Backend.available()))
     print("cpus:", ", ".join(list_cpus()))
     print(f"default modulus: {q} ({q.bit_length()} bits)")
+    from repro.fast import native
+
+    status = native.status()
+    if status["loaded"]:
+        print(f"native kernels (q < 2^62): loaded from {status['path']}")
+    else:
+        print(f"native kernels (q < 2^62): unavailable ({status['reason']})")
     return 0
 
 
@@ -465,7 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("info", help="list backends, CPUs, default modulus")
+    sub.add_parser(
+        "info", help="list backends, CPUs, default modulus, native kernels"
+    )
 
     est = sub.add_parser("estimate", help="model a kernel's runtime")
     est.add_argument("--kernel", choices=["ntt", "blas"], default="ntt")

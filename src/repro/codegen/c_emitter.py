@@ -7,10 +7,13 @@ and stores index symbolic ``in``/``out`` arrays in trace order; immediates
 (shift counts, comparison predicates) come from the trace's ``imm`` field.
 
 The output is the C the paper's artifact ships: it compiles against real
-intrinsics headers (plus the generated ``mqx.h`` for MQX kernels). We
-cannot compile it in this offline environment; the tests instead verify
+intrinsics headers (plus the generated ``mqx.h`` for MQX kernels), e.g.
+with ``gcc -O2 -mavx512f -mavx512dq -mavx512ifma``. The tests verify
 structural well-formedness (every operand defined before use, balanced
-parentheses, no unmapped instructions for the library's kernels).
+parentheses, no unmapped instructions for the library's kernels) and
+that compare predicates survive lowering. The C does not compute the
+right answers yet: loop-hoisted constants (the broadcast modulus,
+``one``...) are declared as ``0`` (see ``hoisted_declarations``).
 """
 
 from __future__ import annotations
@@ -240,12 +243,27 @@ def _scalar_expr(template: str, kind: str = "t", src_kinds: str = "t"):
     return handler
 
 
+#: C operator of each ``cmp64`` predicate (``_MM_CMPINT_*`` codes).
+_SCALAR_CMP_OPS = {0: "==", 1: "<", 2: "<="}
+
+
+def _scalar_cmp(e: _Emitter, entry: TraceEntry) -> str:
+    """``cmp64`` covers lt/le/eq; the predicate rides in ``imm``."""
+    op = _SCALAR_CMP_OPS.get(entry.imm if entry.imm is not None else 1)
+    if op is None:
+        raise ExperimentError(f"cmp64 has no C lowering for predicate {entry.imm!r}")
+    a, b = _name_srcs(e, entry, "tt")
+    return f"{e.define(entry.dests[0], 'f')} = ({a} {op} {b});"
+
+
 def _flag_logic(e: _Emitter, entry: TraceEntry) -> str:
+    """``logic8``: ``not`` (one source), ``and``/``or`` by ``imm``."""
     srcs = _name_srcs(e, entry, "f")
     if len(srcs) == 1:
         expr = f"!{srcs[0]}"
     else:
-        expr = f"{srcs[0]} | {srcs[1]}"
+        op = "&" if entry.imm == "and" else "|"
+        expr = f"{srcs[0]} {op} {srcs[1]}"
     return f"{e.define(entry.dests[0], 'f')} = {expr};"
 
 
@@ -339,7 +357,7 @@ _HANDLERS = {
     "and64": _scalar_expr("{0} & {1}", src_kinds="tt"),
     "or64": _scalar_expr("{0} | {1}", src_kinds="tt"),
     "xor64": _scalar_expr("{0} ^ {1}", src_kinds="tt"),
-    "cmp64": _scalar_expr("({0} < {1})", kind="f", src_kinds="tt"),
+    "cmp64": _scalar_cmp,
     "logic8": _flag_logic,
     "cmov64": _scalar_expr("{0} ? {1} : {2}", src_kinds="ftt"),
     "mov64": _scalar_expr("{0}"),
@@ -347,8 +365,6 @@ _HANDLERS = {
     "store64": _scalar_store,
 }
 
-# cmp64 covers lt/le/eq under one mnemonic; codegen loses the exact
-# predicate but keeps the dataflow (acceptable for the illustrative C).
 
 
 def generate_c_function(

@@ -15,12 +15,15 @@ Both produce bit-identical outputs for every modulus up to 124 bits; the
 :class:`~repro.blas.ops.BlasPlan` and
 :class:`~repro.rns.poly.RnsPolynomialRing` selects between them.
 
-The fast engine itself has two arithmetic substrates: the double-word
-(``"dw"``) schoolbook path and the 52-bit redundant-limb path of
+The fast engine itself has three arithmetic substrates: the double-word
+(``"dw"``) schoolbook path, the 52-bit redundant-limb path of
 :mod:`repro.fast.r52` (``"r52"``), which mirrors AVX-512 IFMA's
-``madd52lo/hi`` split and batches carry propagation once per NTT stage.
-``mode="auto"`` (the default, overridable via ``REPRO_FAST_MODE``)
-routes to r52 whenever the modulus fits its fast range. Plans built
+``madd52lo/hi`` split and batches carry propagation once per NTT stage,
+and the compiled word-size kernels of :mod:`repro.fast.native`
+(``"native"``, moduli below ``2^62``). ``mode="auto"`` (the default,
+overridable via ``REPRO_FAST_MODE``) routes to native when the modulus
+is below ``2^62`` and the kernels loaded on this host, else to r52
+whenever the modulus fits its fast range. Plans built
 over a tuple of equal-width primes are channel-stacked: one call runs
 every RNS residue channel (the RNS ring's fast path). See
 ``docs/PERFORMANCE.md`` for the design and measured speedups.

@@ -30,8 +30,8 @@ class FastBlasPlan:
     :meth:`FastModulus.get`), then serves add/sub/mul/axpy over
     arbitrarily long (and batched) vectors. ``mode`` selects the
     arithmetic substrate for the multiplicative ops (see
-    :class:`FastModulus`); on r52, ``axpy`` additionally derives a
-    Shoup constant for its scalar and runs the cheaper
+    :class:`FastModulus`); on r52 and native, ``axpy`` additionally
+    derives a Shoup constant for its scalar and runs the cheaper
     precomputed-multiplicand product.
 
     A tuple ``q`` of primes of one bit length gives the channel-stacked
@@ -45,6 +45,15 @@ class FastBlasPlan:
         self.q = q
         self.mod = FastModulus.get(q, mode)
         self.mode = self.mod.mode
+
+    @classmethod
+    def on(cls, mod: FastModulus) -> "FastBlasPlan":
+        """The plan over an already-resolved modulus (any substrate)."""
+        plan = cls.__new__(cls)
+        plan.q = mod.q
+        plan.mod = mod
+        plan.mode = mod.mode
+        return plan
 
     def _coerce_pair(self, x: IntMatrix, y: IntMatrix):
         xa = limbs_from_ints(x)
@@ -61,8 +70,8 @@ class FastBlasPlan:
     def vector_add(self, x: IntMatrix, y: IntMatrix) -> IntMatrix:
         """Point-wise ``(x + y) mod q``.
 
-        Always double-word, even on r52 plans: a 128-bit add is two
-        NumPy passes, cheaper than the repack either side would cost.
+        Double-word even on r52 plans: a 128-bit add is two NumPy
+        passes, cheaper than the repack either side would cost.
         """
         xa, ya, as_ints = self._coerce_pair(x, y)
         record_engine_call("fast", "blas.vector_add", xa.size // 2)
@@ -113,8 +122,40 @@ class FastBlasPlan:
                 prod = r.mulmod_shoup(r52_split(xa, r.limbs), r.shoup(a))
                 out = r52_join(r.addmod(prod, r52_split(ya, r.limbs)))
             else:
-                out = self.mod.addmod(self.mod.mulmod(xa, a_block), ya)
+                out = self.mod.axpy(a_block, xa, ya)
         return limbs_to_ints(out) if as_ints else out
+
+    def run_words(self, op: str, *args) -> np.ndarray:
+        """One BLAS op on native word planes (a chain's resident registers).
+
+        ``args`` is ``(x, y)``, or ``(a, x, y)`` for ``axpy``, with
+        ``x``/``y`` contiguous ``(..., m)`` uint64 words. The operands
+        are range-checked like every other entry point's.
+        """
+        *scalar, x, y = args
+        if x.shape != y.shape:
+            raise ArithmeticDomainError(
+                f"vector length mismatch: {x.shape} vs {y.shape}"
+            )
+        mod = self.mod
+        mod.check_words(x, "x")
+        mod.check_words(y, "y")
+        record_engine_call("fast", f"blas.{op}", x.size)
+        with engine_run_span("fast", f"blas.{op}", x.size, mode=self.mode):
+            if op == "axpy":
+                a_block = mod.constant(scalar[0], "a")
+                return mod.native.axpy(
+                    mod.words(a_block).reshape(-1), x, y, mod.qwords
+                )
+            return mod.native.binary(_NATIVE_OPS[op], x, y, mod.qwords)
+
+
+#: Native kernel of each element-wise BLAS op.
+_NATIVE_OPS = {
+    "vector_add": "addmod",
+    "vector_sub": "submod",
+    "vector_mul": "mulmod",
+}
 
 
 def fast_vector_add(x: IntMatrix, y: IntMatrix, q: int) -> Union[List[int], list]:

@@ -18,8 +18,10 @@ list handed to :func:`run_chain`:
 
 The runner keeps intermediate values **resident on the active
 arithmetic substrate**: with an r52 modulus registers stay in 52-bit
-limb-plane form across every step — one ``from_dw`` repack per input,
-one ``to_dw`` per output, rather than per primitive. Every step's
+limb-plane form across every step, and with a native one (``q < 2^62``,
+:mod:`repro.fast.native`) in contiguous uint64 words that compiled
+kernels transform, twist, multiply and add — one repack per input, one
+per output, rather than per primitive. Every step's
 mathematical output is a fully reduced canonical residue, so chains are
 bit-exact with the faithful engine by construction. On a
 channel-stacked plan (a tuple of equal-width primes, see
@@ -218,6 +220,119 @@ def validate_steps(steps: Sequence[dict], inputs: Sequence[str]) -> None:
         )
 
 
+class _Substrate:
+    """How one arithmetic substrate holds chain registers and runs steps.
+
+    The double-word base class keeps registers as ``(..., 2)`` limb
+    arrays; subclasses load inputs into their own form once and store
+    the result once. Every method returns fully reduced residues.
+    """
+
+    #: BLAS steps run on loaded registers (else on double words).
+    resident_blas = False
+
+    def __init__(self, mod) -> None:
+        self.mod = mod
+
+    def load(self, arr: np.ndarray):
+        return arr
+
+    def store(self, value) -> np.ndarray:
+        return value
+
+    def ntt(self, plan: "FastNtt", x, inverse: bool, natural: bool):
+        bitrev = plan._bitrev
+        if inverse:
+            if not natural:
+                x = x[..., bitrev, :]
+            x = plan._run_stages(x, True)
+            return self.mod.mulmod(x[..., bitrev, :], plan._n_inv)
+        x = plan._run_stages(x, False)
+        return x[..., bitrev, :] if natural else x
+
+    def twist(self, neg: "FastNegacyclic", x, untwist: bool):
+        return self.mod.mulmod(x, neg._twist_table(untwist))
+
+    def pointwise(self, a, b):
+        return self.mod.mulmod(a, b)
+
+
+class _R52Substrate(_Substrate):
+    """Registers as 52-bit limb planes (:mod:`repro.fast.r52`)."""
+
+    def __init__(self, mod) -> None:
+        super().__init__(mod)
+        self.r = mod.r52
+
+    def load(self, arr: np.ndarray):
+        return self.r.from_dw(arr)
+
+    def store(self, value) -> np.ndarray:
+        return self.r.to_dw(value)
+
+    def ntt(self, plan: "FastNtt", planes, inverse: bool, natural: bool):
+        bitrev = plan._bitrev
+        if inverse:
+            if not natural:
+                planes = [p[..., bitrev] for p in planes]
+            planes = plan._r52.run_stages(planes, True)
+            planes = [p[..., bitrev] for p in planes]
+            return self.r.mulmod_shoup(planes, plan._r52_n_inv_pair())
+        planes = plan._r52.run_stages(planes, False)
+        return [p[..., bitrev] for p in planes] if natural else planes
+
+    def twist(self, neg: "FastNegacyclic", planes, untwist: bool):
+        return self.r.mulmod_shoup(planes, neg._twist_table(untwist))
+
+    def pointwise(self, a, b):
+        return self.r.mulmod(a, b)
+
+
+class _NativeSubstrate(_Substrate):
+    """Registers as contiguous uint64 word planes, steps compiled.
+
+    See :mod:`repro.fast.native`: the forward transform maps natural
+    order to bit-reversed order and the inverse the other way round, so
+    the raw (``natural=False``) steps need no permutation at all.
+    """
+
+    resident_blas = True
+
+    def __init__(self, mod) -> None:
+        super().__init__(mod)
+        self.lib = mod.native
+
+    def load(self, arr: np.ndarray):
+        return self.mod.words(arr)
+
+    def store(self, value) -> np.ndarray:
+        return self.mod.from_words(value)
+
+    def ntt(self, plan: "FastNtt", x, inverse: bool, natural: bool):
+        bitrev = plan._bitrev
+        table = plan._native_table(inverse)
+        if inverse:
+            if natural:
+                x = np.ascontiguousarray(x[..., bitrev])
+            return self.lib.ntt_inverse(x, self.mod.qwords, table[:2], table[2])
+        out = self.lib.ntt_forward(x, self.mod.qwords, table)
+        return np.ascontiguousarray(out[..., bitrev]) if natural else out
+
+    def twist(self, neg: "FastNegacyclic", x, untwist: bool):
+        return self.lib.mul_table(x, self.mod.qwords, neg._twist_table(untwist))
+
+    def pointwise(self, a, b):
+        return self.lib.binary("mulmod", a, b, self.mod.qwords)
+
+
+def _substrate(mod) -> _Substrate:
+    if mod.native is not None:
+        return _NativeSubstrate(mod)
+    if mod.r52 is not None:
+        return _R52Substrate(mod)
+    return _Substrate(mod)
+
+
 def run_chain(
     steps: Sequence[dict],
     inputs: Dict[str, np.ndarray],
@@ -228,9 +343,10 @@ def run_chain(
     """Execute a validated chain; returns the ``"out"`` register (dw form).
 
     ``inputs`` maps register names to ``(..., 2)`` limb arrays (already
-    coerced and range-checked by the caller). With an r52 modulus the
-    register file holds 52-bit limb planes and every NTT/twist/pointwise
-    step stays in plane form; the double-word repack happens once per
+    coerced and range-checked by the caller). The register file holds
+    values in the modulus's substrate form — 52-bit limb planes on r52,
+    one uint64 word per residue on native — and every NTT, twist and
+    pointwise step stays in that form: the repack happens once per
     input register and once for the result. Each step produces fully
     reduced canonical residues, which is what makes the fused result
     bit-identical to the faithful engine.
@@ -241,20 +357,19 @@ def run_chain(
     if ntt is None and blas is None:
         raise NttParameterError("a chain needs a transform or a BLAS plan")
     mod = ntt.mod if ntt is not None else blas.mod
-    r = mod.r52
-    use_r52 = r is not None
-    # Tagged register file: ("dw", (..., 2) array) or ("r52", planes).
+    sub = _substrate(mod)
+    # Tagged register file: ("dw", (..., 2) array) or ("sub", loaded form).
     regs: Dict[str, tuple] = {
         name: ("dw", arr) for name, arr in inputs.items()
     }
 
-    def as_r52(value: tuple):
-        tag, val = value
-        return val if tag == "r52" else r.from_dw(val)
+    def loaded(name: str):
+        tag, val = regs[name]
+        return val if tag == "sub" else sub.load(val)
 
-    def as_dw(value: tuple) -> np.ndarray:
-        tag, val = value
-        return val if tag == "dw" else r.to_dw(val)
+    def as_dw(name: str) -> np.ndarray:
+        tag, val = regs[name]
+        return val if tag == "dw" else sub.store(val)
 
     for step in steps:
         kind = step["kind"]
@@ -263,64 +378,30 @@ def run_chain(
                 raise NttParameterError(
                     "chain has an ntt step but no transform plan (n, root)"
                 )
-            inverse = step["direction"] == "inverse"
-            natural = bool(step.get("natural", False))
-            bitrev = ntt._bitrev
-            if use_r52:
-                planes = as_r52(regs[step["src"]])
-                if inverse:
-                    if not natural:
-                        planes = [p[..., bitrev] for p in planes]
-                    planes = ntt._r52.run_stages(planes, True)
-                    planes = [p[..., bitrev] for p in planes]
-                    planes = r.mulmod_shoup(planes, ntt._r52_n_inv_pair())
-                else:
-                    planes = ntt._r52.run_stages(planes, False)
-                    if natural:
-                        planes = [p[..., bitrev] for p in planes]
-                regs[step["dst"]] = ("r52", planes)
-            else:
-                x = as_dw(regs[step["src"]])
-                if inverse:
-                    if not natural:
-                        x = x[..., bitrev, :]
-                    x = ntt._run_stages(x, True)
-                    x = x[..., bitrev, :]
-                    x = mod.mulmod(x, ntt._n_inv)
-                else:
-                    x = ntt._run_stages(x, False)
-                    if natural:
-                        x = x[..., bitrev, :]
-                regs[step["dst"]] = ("dw", x)
+            out = sub.ntt(ntt, loaded(step["src"]),
+                          step["direction"] == "inverse",
+                          bool(step.get("natural", False)))
+            regs[step["dst"]] = ("sub", out)
         elif kind == "twist":
             if neg is None:
                 raise NttParameterError(
                     "chain has a twist step but no negacyclic plan (psi)"
                 )
-            tw = neg._twist_table(step["which"] == "untwist", r)
-            if use_r52:
-                planes = as_r52(regs[step["src"]])
-                regs[step["dst"]] = ("r52", r.mulmod_shoup(planes, tw))
-            else:
-                x = as_dw(regs[step["src"]])
-                regs[step["dst"]] = ("dw", mod.mulmod(x, tw))
+            out = sub.twist(neg, loaded(step["src"]), step["which"] == "untwist")
+            regs[step["dst"]] = ("sub", out)
         elif kind == "pointwise":
-            if use_r52:
-                a = as_r52(regs[step["a"]])
-                b = as_r52(regs[step["b"]])
-                regs[step["dst"]] = ("r52", r.mulmod(a, b))
-            else:
-                a = as_dw(regs[step["a"]])
-                b = as_dw(regs[step["b"]])
-                regs[step["dst"]] = ("dw", mod.mulmod(a, b))
+            regs[step["dst"]] = ("sub", sub.pointwise(loaded(step["a"]),
+                                                      loaded(step["b"])))
         else:  # blas (validated)
-            plan = blas if blas is not None else FastBlasPlan(ntt.q, ntt.mode)
-            xa = as_dw(regs[step["x"]])
-            ya = as_dw(regs[step["y"]])
+            plan = blas if blas is not None else FastBlasPlan.on(mod)
             op = step["blas_op"]
-            if op == "axpy":
-                result = plan.axpy(int(step["a"]), xa, ya)
+            scalar = (int(step["a"]),) if op == "axpy" else ()
+            if sub.resident_blas and plan.mod.native is not None:
+                out = plan.run_words(op, *scalar, loaded(step["x"]),
+                                     loaded(step["y"]))
+                regs[step["dst"]] = ("sub", out)
             else:
-                result = getattr(plan, op)(xa, ya)
-            regs[step["dst"]] = ("dw", result)
-    return as_dw(regs[OUT_REGISTER])
+                out = getattr(plan, op)(*scalar, as_dw(step["x"]),
+                                        as_dw(step["y"]))
+                regs[step["dst"]] = ("dw", out)
+    return as_dw(OUT_REGISTER)

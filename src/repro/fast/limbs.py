@@ -88,6 +88,8 @@ def _pack_flat(values: List[int]) -> np.ndarray:
 
 def limbs_to_ints(limbs: np.ndarray) -> Union[int, List[int], List[List[int]]]:
     """Unpack a limb array back into Python ints (shape-preserving)."""
+    if 2 <= limbs.ndim <= 3 and not limbs[..., 1].any():
+        return limbs[..., 0].tolist()  # every value fits one word
     if limbs.ndim == 1:
         lo, hi = limbs.tolist()
         return (hi << 64) | lo

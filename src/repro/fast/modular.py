@@ -25,6 +25,7 @@ import numpy as np
 from repro.arith.barrett import BarrettParams
 from repro.arith.dwmod import check_modulus_128
 from repro.errors import ArithmeticDomainError
+from repro.fast import native
 from repro.fast.limbs import (
     IntVector,
     add128_nocarry,
@@ -61,10 +62,13 @@ class FastModulus:
     runs the 128-bit schoolbook path below, ``"r52"`` routes through
     the 52-bit redundant-limb substrate (:mod:`repro.fast.r52`), and
     ``"auto"``/``None`` (optionally via the ``REPRO_FAST_MODE`` env
-    var) picks r52 whenever the modulus fits its two-limb fast range.
-    Results are bit-identical either way; ``addmod``/``submod`` always
-    stay double-word (the repack would cost more than carry chains on
-    an add). The public array layout is ``(..., 2)`` uint64 regardless.
+    var) resolves to ``"native"`` — the compiled word-size kernels of
+    :mod:`repro.fast.native` — when ``q < 2^62`` and they loaded, else
+    to r52 whenever the modulus fits its two-limb fast range. Results
+    are bit-identical either way. On r52 ``addmod``/``submod`` stay
+    double-word (the repack would cost more than carry chains on an
+    add); on native every op runs compiled on one word per residue.
+    The public array layout is ``(..., 2)`` uint64 regardless.
 
     A *channel-stacked* modulus (``FastModulus.get`` with a tuple of
     primes of one bit length) serves ``k`` RNS channels at once:
@@ -79,8 +83,12 @@ class FastModulus:
             (one per channel when stacked).
         m: The modulus as a ``(2,)`` limb array (broadcasts over vectors).
         mu: Barrett ``mu`` as a ``(2,)`` limb array.
-        mode: The resolved substrate, ``"r52"`` or ``"dw"``.
+        mode: The resolved substrate, ``"native"``, ``"r52"`` or ``"dw"``.
         r52: The bound :class:`~repro.fast.r52.R52Modulus` (or ``None``).
+        native: The bound :class:`~repro.fast.native.NativeKernels` (or
+            ``None``).
+        qwords: On native, the channel primes as a ``(k,)`` uint64 array
+            (``k = 1`` unstacked), the modulus argument of the kernels.
         channels: The per-channel moduli when stacked, else ``None``.
     """
 
@@ -96,6 +104,11 @@ class FastModulus:
         self.mu = limbs_from_ints(self.params.mu)
         self.mode = resolve_fast_mode(mode, q)
         self.r52 = get_r52_modulus(q) if self.mode == "r52" else None
+        self.native = native.library() if self.mode == "native" else None
+        self.qwords = (
+            np.array(self.primes, dtype=np.uint64)
+            if self.native is not None else None
+        )
 
     @classmethod
     def get(
@@ -159,9 +172,16 @@ class FastModulus:
         stacked.params = tuple(ch.params for ch in channels)
         stacked.m = np.stack([ch.m for ch in channels])[:, None, :]
         stacked.mu = np.stack([ch.mu for ch in channels])[:, None, :]
+        if first.native is not None:
+            stacked.qwords = np.array(stacked.primes, dtype=np.uint64)
         if first.r52 is not None:
             stacked.r52 = R52Modulus.stack([ch.r52 for ch in channels])
         return stacked
+
+    @property
+    def primes(self) -> Tuple[int, ...]:
+        """The channel primes (one entry when not stacked)."""
+        return self.q if self.channels is not None else (self.q,)
 
     def __repr__(self) -> str:
         return f"FastModulus(q={self.q}, mode={self.mode!r})"
@@ -182,21 +202,39 @@ class FastModulus:
         A stacked modulus also requires the channel axis (``-3``) to
         hold exactly one row per channel.
         """
+        self._check_channels(arr.shape[:-1], name)
+        if self.native is not None:
+            flat = self.native.first_unreduced(arr, self.qwords)
+            if flat >= 0:
+                self._unreduced(np.unravel_index(flat, arr.shape[:-1] or (1,)), name)
+            return
+        bad = geq128(arr, self.m)
+        if bad.any():
+            self._unreduced(np.argwhere(np.atleast_1d(bad))[0], name)
+
+    def check_words(self, words: np.ndarray, name: str = "values") -> None:
+        """:meth:`check_reduced` for native word planes (``(..., m)``)."""
+        self._check_channels(words.shape, name)
+        q = self.qwords if self.channels is None else self.qwords[:, None]
+        bad = words >= q
+        if bad.any():
+            self._unreduced(np.argwhere(np.atleast_1d(bad))[0], name)
+
+    def _check_channels(self, shape: tuple, name: str) -> None:
         if self.channels is not None and (
-            arr.ndim < 3 or arr.shape[-3] != len(self.channels)
+            len(shape) < 2 or shape[-2] != len(self.channels)
         ):
             raise ArithmeticDomainError(
                 f"{name} must stack {len(self.channels)} channels on axis "
-                f"-3, got shape {arr.shape[:-1]}"
+                f"-3, got shape {shape}"
             )
-        bad = geq128(arr, self.m)
-        if bad.any():
-            index = np.argwhere(np.atleast_1d(bad))[0]
-            q = self.q if self.channels is None else self.q[index[-2]]
-            raise ArithmeticDomainError(
-                f"{name}[{', '.join(str(i) for i in index)}] is not reduced "
-                f"modulo {q}"
-            )
+
+    def _unreduced(self, index, name: str) -> None:
+        q = self.q if self.channels is None else self.q[index[-2]]
+        raise ArithmeticDomainError(
+            f"{name}[{', '.join(str(i) for i in index)}] is not reduced "
+            f"modulo {q}"
+        )
 
     def constant(self, value, name: str = "value") -> np.ndarray:
         """A reduced constant as a limb array that broadcasts over operands.
@@ -220,6 +258,40 @@ class FastModulus:
     # Modular operations (bit-exact against repro.arith.dwmod)
     # ------------------------------------------------------------------
 
+    # ------------------------------------------------------------------
+    # Native word planes (q < 2^62: one uint64 word per residue)
+    # ------------------------------------------------------------------
+
+    @staticmethod
+    def words(arr: np.ndarray) -> np.ndarray:
+        """Reduced ``(..., 2)`` limbs as contiguous ``(...)`` words.
+
+        Exact for any modulus below ``2^64``: the high limb of a reduced
+        operand is zero.
+        """
+        return np.ascontiguousarray(arr[..., 0])
+
+    @staticmethod
+    def from_words(words: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`words`: ``(...)`` words as ``(..., 2)`` limbs."""
+        out = np.zeros(words.shape + (2,), dtype=np.uint64)
+        out[..., 0] = words
+        return out
+
+    def _native_op(self, op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        a, b = np.broadcast_arrays(a, b)
+        out = self.native.binary(op, self.words(a), self.words(b), self.qwords)
+        return self.from_words(out)
+
+    def axpy(self, a_block: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``(a * x + y) mod q`` for a :meth:`constant` ``a_block``."""
+        if self.native is not None:
+            scalars = self.words(a_block).reshape(-1)
+            out = self.native.axpy(scalars, self.words(x), self.words(y),
+                                   self.qwords)
+            return self.from_words(out)
+        return self.addmod(self.mulmod(x, a_block), y)
+
     def addmod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``(a + b) mod q`` element-wise on limb arrays.
 
@@ -227,12 +299,16 @@ class FastModulus:
         128-bit add cannot carry out (the paper's carry elision) and one
         trial subtraction finishes the job.
         """
+        if self.native is not None:
+            return self._native_op("addmod", a, b)
         total = add128_nocarry(a, b)
         diff, borrow = sub128(total, self.m)
         return select128(~borrow, diff, total)
 
     def submod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``(a - b) mod q`` element-wise: borrow then conditional add-back."""
+        if self.native is not None:
+            return self._native_op("submod", a, b)
         diff, borrow = sub128(a, b)
         fixed = add128_nocarry(diff, self.m)
         return select128(borrow, fixed, diff)
@@ -250,8 +326,11 @@ class FastModulus:
 
         When the r52 substrate is active the same product runs over
         52-bit redundant limbs instead (identical results, fewer
-        whole-vector passes); the repack happens at this boundary.
+        whole-vector passes); the repack happens at this boundary. On
+        the native substrate it is one compiled Barrett loop.
         """
+        if self.native is not None:
+            return self._native_op("mulmod", a, b)
         if self.r52 is not None:
             r = self.r52
             out = r.mulmod(r52_split(a, r.limbs), r52_split(b, r.limbs))

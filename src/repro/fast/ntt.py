@@ -10,9 +10,13 @@ Twiddle tables come from the same :class:`~repro.ntt.twiddles.TwiddleTable`
 the faithful path uses, so the two engines agree bit for bit.
 
 The plans here hold the precomputed state (twiddles, bit-reversal
-permutation, psi twists, r52 Shoup pairs); every public op coerces its
-operands and runs a step list through :func:`repro.fast.chain.run_chain`,
-which owns the stage ordering, the twists and the r52 repacking.
+permutation, psi twists, r52 Shoup pairs, native word tables); every
+public op coerces its operands and runs a step list through
+:func:`repro.fast.chain.run_chain`, which owns the stage ordering, the
+twists and the substrate repacking. A native plan (``q < 2^62``) runs
+the compiled in-place Cooley-Tukey/Gentleman-Sande transform of
+:mod:`repro.fast.native` instead of the Pease stages; the spectrum
+order, and so every result, is the same.
 
 The batched API accepts ``(batch, n)`` inputs, transforming every row in
 the same NumPy operations. A plan built over a *tuple* of primes of one
@@ -34,7 +38,7 @@ from repro.errors import NttParameterError
 from repro.fast import chain
 from repro.fast.limbs import IntVector, limbs_from_ints, limbs_to_ints
 from repro.fast.modular import FastModulus
-from repro.fast.r52 import R52Modulus, R52Ntt
+from repro.fast.r52 import R52Ntt
 from repro.ntt.twiddles import ChannelTwiddles, TwiddleTable
 from repro.obs.hooks import engine_run_span, record_engine_call, record_r52_call
 from repro.util.checks import check_power_of_two
@@ -68,9 +72,11 @@ class FastNtt:
             :class:`~repro.ntt.twiddles.ChannelTwiddles` when stacked.
         mode: Arithmetic substrate — ``"dw"`` (128-bit schoolbook),
             ``"r52"`` (52-bit redundant limbs with Harvey-lazy stages,
-            see :mod:`repro.fast.r52`) or ``"auto"``/``None`` (r52
-            whenever the modulus fits its fast range; overridable via
-            the ``REPRO_FAST_MODE`` env var). Bit-identical either way.
+            see :mod:`repro.fast.r52`) or ``"auto"``/``None`` (the
+            compiled native kernels when ``q < 2^62`` and they loaded,
+            else r52 whenever the modulus fits its fast range;
+            overridable via the ``REPRO_FAST_MODE`` env var).
+            Bit-identical either way.
     """
 
     def __init__(
@@ -103,6 +109,7 @@ class FastNtt:
         self._n_inv = self.mod.constant(self.table.n_inverse)
         self._stage_tw: dict = {}
         self._r52_n_inv: Optional[tuple] = None
+        self._native_tw: Dict[bool, tuple] = {}
 
     @property
     def n(self) -> int:
@@ -192,6 +199,26 @@ class FastNtt:
             self._r52_n_inv = self.mod.r52.shoup(self.table.n_inverse)
         return self._r52_n_inv
 
+    def _native_table(self, inverse: bool) -> tuple:
+        """Cached native butterfly twiddles (and ``1/n`` for the inverse).
+
+        Built by the compiled kernels from each channel's root (its
+        inverse for the inverse transform); Shoup companions included.
+        """
+        cached = self._native_tw.get(inverse)
+        if cached is None:
+            mod = self.mod
+            roots = self.table.root
+            roots = roots if mod.channels is not None else (roots,)
+            if inverse:
+                roots = [pow(w, -1, q) for w, q in zip(roots, mod.primes)]
+            cached = mod.native.ntt_table(self.n, mod.qwords, roots)
+            if inverse:
+                n_inv = [pow(self.n, -1, q) for q in mod.primes]
+                cached += (np.array(n_inv, dtype=np.uint64),)
+            self._native_tw[inverse] = cached
+        return cached
+
     def _stage_twiddles(self, stage: int, inverse: bool) -> np.ndarray:
         key = (stage, inverse)
         cached = self._stage_tw.get(key)
@@ -267,23 +294,30 @@ class FastNegacyclic:
             n, q, root=omegas if stacked else omegas[0], mode=mode
         )
         self.mode = self.plan.mode
-        self._twists: Dict[Tuple[bool, bool], object] = {}
+        self._twists: Dict[bool, object] = {}
 
-    def _twist_table(self, untwist: bool, r52: Optional[R52Modulus] = None):
+    def _twist_table(self, untwist: bool):
         """The psi (``untwist``: psi^-1) powers in substrate form, cached.
 
-        A limb array for the double-word substrate, or the Shoup-vector
-        pair for the r52 modulus ``r52``.
+        A limb array for the double-word substrate, the Shoup-vector
+        pair for r52, or per-channel word and Shoup tables built by the
+        compiled kernels for native.
         """
-        key = (untwist, r52 is not None)
-        table = self._twists.get(key)
+        table = self._twists.get(untwist)
         if table is None:
-            powers = self.plan.table.twist_powers(self.psi, inverse=untwist)
-            table = (
-                r52.shoup_vector(powers) if r52 is not None
-                else limbs_from_ints(powers)
-            )
-            self._twists[key] = table
+            mod = self.plan.mod
+            if mod.native is not None:
+                psis = self.psi if mod.channels is not None else (self.psi,)
+                if untwist:
+                    psis = [pow(p, -1, q) for p, q in zip(psis, mod.primes)]
+                table = mod.native.power_table(self.n, mod.qwords, psis)
+            else:
+                powers = self.plan.table.twist_powers(self.psi, inverse=untwist)
+                table = (
+                    mod.r52.shoup_vector(powers) if mod.r52 is not None
+                    else limbs_from_ints(powers)
+                )
+            self._twists[untwist] = table
         return table
 
     def forward(self, values: IntMatrix) -> IntMatrix:

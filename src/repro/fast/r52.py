@@ -51,6 +51,7 @@ import numpy as np
 
 from repro.arith.dwmod import check_modulus_128
 from repro.errors import ArithmeticDomainError
+from repro.fast import native
 from repro.fast.limbs import (
     LIMB52_BITS,
     MASK52,
@@ -122,11 +123,14 @@ def _stack_pairs(pairs: Sequence[tuple]) -> tuple:
 
 
 def resolve_fast_mode(mode: Optional[str] = None, q: Optional[int] = None) -> str:
-    """Resolve a requested fast-engine mode to ``"r52"`` or ``"dw"``.
+    """Resolve a requested fast-engine mode to a substrate.
 
     ``mode=None`` falls back to the :data:`FAST_MODE_ENV` environment
-    variable, then to ``"auto"``; ``"auto"`` picks r52 exactly when
-    ``q.bit_length() <= AUTO_MAX_BETA`` (and ``q`` is given).
+    variable, then to ``"auto"``. ``"auto"`` (with ``q`` given) picks
+    ``"native"`` when ``q < 2^62`` and the compiled kernels of
+    :mod:`repro.fast.native` loaded, else r52 exactly when
+    ``q.bit_length() <= AUTO_MAX_BETA``, else ``"dw"``. ``"native"`` is
+    only ever a resolved value, never a requestable one.
     """
     if mode is None:
         mode = os.environ.get(FAST_MODE_ENV, "").strip() or "auto"
@@ -137,6 +141,8 @@ def resolve_fast_mode(mode: Optional[str] = None, q: Optional[int] = None) -> st
     if mode == "auto":
         if q is None:
             return "auto"
+        if native.fits(q) and native.library() is not None:
+            return "native"
         return "r52" if 2 <= q.bit_length() <= AUTO_MAX_BETA else "dw"
     return mode
 

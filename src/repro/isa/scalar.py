@@ -170,11 +170,16 @@ def xor64(a: IntLike, b: IntLike) -> SVal:
     return result
 
 
+#: ``cmp64`` predicates, carried as the trace entry's ``imm`` (the
+#: ``_MM_CMPINT_*`` encoding the vector compares use).
+CMP_EQ, CMP_LT, CMP_LE = 0, 1, 2
+
+
 def cmp_lt64(a: IntLike, b: IntLike) -> SVal:
     """Unsigned ``a < b``: ``CMP`` + ``SETB`` fused into one modeled op."""
     a, b = _as_sval(a), _as_sval(b)
     flag = SVal(1 if a.value < b.value else 0, width=1)
-    emit("cmp64", [flag], [a, b])
+    emit("cmp64", [flag], [a, b], imm=CMP_LT)
     return flag
 
 
@@ -182,7 +187,7 @@ def cmp_le64(a: IntLike, b: IntLike) -> SVal:
     """Unsigned ``a <= b``: ``CMP`` + ``SETBE`` fused into one modeled op."""
     a, b = _as_sval(a), _as_sval(b)
     flag = SVal(1 if a.value <= b.value else 0, width=1)
-    emit("cmp64", [flag], [a, b])
+    emit("cmp64", [flag], [a, b], imm=CMP_LE)
     return flag
 
 
@@ -190,7 +195,7 @@ def cmp_eq64(a: IntLike, b: IntLike) -> SVal:
     """``a == b``: ``CMP`` + ``SETE`` fused into one modeled op."""
     a, b = _as_sval(a), _as_sval(b)
     flag = SVal(1 if a.value == b.value else 0, width=1)
-    emit("cmp64", [flag], [a, b])
+    emit("cmp64", [flag], [a, b], imm=CMP_EQ)
     return flag
 
 
@@ -198,7 +203,7 @@ def or1(a: IntLike, b: IntLike) -> SVal:
     """Logical OR of two flag bits (``OR r8, r8``)."""
     a, b = _as_sval(a, 1), _as_sval(b, 1)
     flag = SVal(a.value | b.value, width=1)
-    emit("logic8", [flag], [a, b])
+    emit("logic8", [flag], [a, b], imm="or")
     return flag
 
 
@@ -206,7 +211,7 @@ def and1(a: IntLike, b: IntLike) -> SVal:
     """Logical AND of two flag bits (``AND r8, r8``)."""
     a, b = _as_sval(a, 1), _as_sval(b, 1)
     flag = SVal(a.value & b.value, width=1)
-    emit("logic8", [flag], [a, b])
+    emit("logic8", [flag], [a, b], imm="and")
     return flag
 
 

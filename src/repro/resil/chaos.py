@@ -32,6 +32,7 @@ SCENARIOS = (
     "chain.multiply_add",
     "stale.stragglers",
     "telemetry.merged_trace",
+    "native.corrupt_cache",
     "breaker.trip_recover",
     "deadline.short_circuit",
     "serve.breaker_live_load",
@@ -370,6 +371,78 @@ def run_chaos(
                     "no worker telemetry blobs were merged",
                 )
 
+            def native_corrupt_cache() -> None:
+                import tempfile
+                import warnings
+                from pathlib import Path
+
+                from repro.fast import native
+                from repro.fast.modular import FastModulus
+                from repro.resil.degrade import EngineDegradedWarning
+
+                f = [[rng.randrange(q) for _ in range(n)] for _ in range(batch)]
+                g = [[rng.randrange(q) for _ in range(n)] for _ in range(batch)]
+                expected = FastNegacyclic(n, q, mode="r52").multiply(f, g)
+                pooled = ParNegacyclic(n, q, executor=pool)
+                saved_dir = native.cache_dir
+                with tempfile.TemporaryDirectory() as tmp:
+                    directory = Path(tmp)
+                    try:
+                        entry = native.build(directory)
+                    except native.NativeUnavailable:
+                        entry = None  # no compiler: already degraded
+                    if entry is not None:
+                        # Same length, flipped middle: a torn write. (A new
+                        # file, never one this process has mapped.)
+                        data = bytearray(entry.read_bytes())
+                        mid = len(data) // 2
+                        data[mid : mid + 64] = bytes(
+                            b ^ 0xFF for b in data[mid : mid + 64]
+                        )
+                        entry.unlink()
+                        entry.write_bytes(bytes(data))
+                    before = session.metrics.get(
+                        "resil.degraded." + native.DEGRADE_REASON
+                    )
+                    before = before.value if before is not None else 0
+                    native.cache_dir = lambda: directory
+                    native.reset()
+                    FastModulus.clear_cache()
+                    try:
+                        with warnings.catch_warnings(record=True) as caught:
+                            warnings.simplefilter("always")
+                            plan = FastNegacyclic(n, q)
+                            again = FastBlasPlan(q)
+                    finally:
+                        native.cache_dir = saved_dir
+                    expect(
+                        plan.mode == again.mode == "r52",
+                        f"corrupt cache should leave r52, got {plan.mode!r}",
+                    )
+                    expect(
+                        plan.multiply(f, g) == expected,
+                        "degraded in-process product diverged",
+                    )
+                    expect(
+                        pooled.multiply(f, g) == expected,
+                        "pool product diverged from the degraded engine",
+                    )
+                    warned = [w for w in caught
+                              if issubclass(w.category, EngineDegradedWarning)]
+                    expect(len(warned) == 1,
+                           f"{len(warned)} degradation warnings, expected 1")
+                    after = session.metrics.get(
+                        "resil.degraded." + native.DEGRADE_REASON
+                    )
+                    expect(
+                        after is not None and after.value == before + 1,
+                        "native degradation was not counted once",
+                    )
+                    expect(entry is None or not entry.exists(),
+                           "corrupt cache entry was not removed")
+                native.reset()
+                FastModulus.clear_cache()
+
             scenario("ntt.roundtrip", ntt_roundtrip)
             scenario("negacyclic.multiply", negacyclic_multiply)
             scenario("blas.ops", blas_ops)
@@ -377,6 +450,7 @@ def run_chaos(
             scenario("chain.multiply_add", chain_multiply_add)
             scenario("stale.stragglers", stale_stragglers)
             scenario("telemetry.merged_trace", telemetry_merged_trace)
+            scenario("native.corrupt_cache", native_corrupt_cache)
 
         def breaker_trip_recover() -> None:
             from repro.obs.hooks import record_breaker_transition
@@ -637,6 +711,11 @@ def run_chaos(
                         )
                         for _ in range(32)
                     ]
+                    # Hold the first shards in the workers, so the kill
+                    # below lands mid-load however fast a shard computes.
+                    pool5.inject(FaultPlan({
+                        index: Fault("slow", seconds=0.3) for index in range(4)
+                    }))
                     tasks = [
                         asyncio.ensure_future(
                             service.submit("polymul", pair, n, q)
@@ -650,6 +729,7 @@ def run_chaos(
                     expect(bool(victims), "pool reported no worker pids")
                     os.kill(victims[0], signal.SIGKILL)
                     got = await asyncio.gather(*tasks)
+                    pool5.inject(None)
                     expect(
                         got == [reference.multiply([f], [g])[0]
                                 for f, g in pairs],

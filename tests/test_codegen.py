@@ -8,8 +8,9 @@ from repro.arith.primes import default_modulus
 from repro.codegen.c_emitter import generate_c_function, generate_kernel_source
 from repro.codegen.mqx_header import generate_mqx_header
 from repro.errors import ExperimentError
-from repro.isa.trace import Tracer
+from repro.isa.trace import Tracer, tracing
 from repro.kernels import get_backend
+from repro.kernels.listings import listing1_addmod128
 
 from tests.conftest import ALL_BACKEND_NAMES
 
@@ -83,6 +84,17 @@ class TestKernelSource:
     def test_cmp_predicates_recovered(self):
         source = generate_kernel_source(get_backend("avx512"), "addmod", Q)
         assert "_MM_CMPINT_LT" in source
+
+    def test_scalar_listing1_predicates_recovered(self):
+        """Listing 1's ``a35 = mh == t29``, ``a38 = ml <= t30`` and
+        ``a34 = a35 & a38`` keep their predicates in the emitted C."""
+        with tracing() as trace:
+            listing1_addmod128(Q - 1, 5, Q)
+        source = generate_c_function(trace, "addmod128_scalar")
+        compares = re.findall(r"= \(t\d+ (<|<=|==) t\d+\);", source)
+        assert sorted(compares) == sorted(["<"] * 5 + ["=="] + ["<="])
+        assert len(re.findall(r"= f\d+ & f\d+;", source)) == 1
+        assert len(re.findall(r"= f\d+ \| f\d+;", source)) == 4
 
     def test_shift_immediates_recovered(self):
         source = generate_kernel_source(get_backend("avx512"), "mulmod", Q)

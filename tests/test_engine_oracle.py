@@ -6,17 +6,25 @@ computes the same op on the same operands:
 * **faithful** — the ISA-simulated scalar backend (small ``n`` only);
 * **fast-dw** / **fast-r52** — the NumPy engine pinned to each
   arithmetic substrate;
+* **fast-auto** — the fast engine's own choice: the compiled native
+  kernels (:mod:`repro.fast.native`) below ``2^62``, else r52 or dw;
 * **chain** — the in-process fused-chain runner
   (:func:`repro.fast.chain.run_chain`);
-* **parallel** — the worker pool (one module-scoped executor).
+* **parallel** — the worker pool (one executor per module pass).
 
 The space: ``q`` from 13 to 124 bits, which takes in one-limb r52
-(<= 50 bits), two-limb r52 and the double-word top of the range; ``n``
-a power of two from 2 to 4096 with ``2n | q - 1``; batch 0, 1 (passed
-as a flat vector) or odd. Products and BLAS results are also checked
-against exact big-integer arithmetic, and transforms against their own
-round trip, so a defect every engine shares cannot pass by agreeing
-with itself.
+(<= 50 bits), the native word-size boundary (62 bits is native, 63 is
+not), two-limb r52 and the double-word top of the range; ``n`` a power
+of two from 2 to 4096 with ``2n | q - 1``; batch 0, 1 (passed as a flat
+vector) or odd. Products and BLAS results are also checked against
+exact big-integer arithmetic, and transforms against their own round
+trip, so a defect every engine shares cannot pass by agreeing with
+itself.
+
+Every case runs twice: once with the native library as this host loads
+it, and once with it substituted away (``native.library`` returning
+``None``, as on a host without a compiler), so ``auto`` plans, the
+chain runner and the pool workers run their NumPy substrates.
 """
 
 from __future__ import annotations
@@ -36,8 +44,10 @@ from repro.arith.primes import find_ntt_prime, is_prime, root_of_unity
 from repro.blas.ops import BlasPlan
 from repro.errors import ArithmeticDomainError
 from repro.fast import chain as fast_chain
+from repro.fast import native
 from repro.fast.blas import FastBlasPlan
 from repro.fast.limbs import LIMB_DTYPE, limbs_from_ints, limbs_to_ints
+from repro.fast.modular import FastModulus
 from repro.fast.ntt import FastNegacyclic, FastNtt
 from repro.kernels import get_backend
 from repro.ntt.negacyclic import NegacyclicNtt
@@ -57,8 +67,9 @@ from repro.rns.poly import RnsPolynomial, RnsPolynomialRing
 FAITHFUL_MAX_N = 16
 
 #: Widths where a representation changes shape: the bottom of the range,
-#: the one/two-limb r52 boundary, the two/three-limb boundary, the top.
-EDGE_WIDTHS = (13, 50, 51, 102, 103, 124)
+#: the one/two-limb r52 boundary, the native word-size boundary (q < 2^62),
+#: the two/three-limb boundary, the top.
+EDGE_WIDTHS = (13, 50, 51, 61, 62, 63, 102, 103, 124)
 
 #: Batch sizes: empty, one (passed as a flat vector), odd.
 BATCHES = (0, 1, 3, 5)
@@ -66,7 +77,8 @@ BATCHES = (0, 1, 3, 5)
 #: Extra RNS channel widths: one-limb r52 and double-word.
 RNS_WIDTHS = (50, 124)
 
-FAST_MODES = ("dw", "r52")
+#: Fast-engine substrates: pinned, and ``None`` for the engine's own choice.
+FAST_MODES = ("dw", "r52", None)
 
 BLAS_OPS = ("vector_add", "vector_sub", "vector_mul", "axpy")
 
@@ -113,8 +125,21 @@ def with_corners(test):
     return test
 
 
+@pytest.fixture(scope="module", params=["native", "numpy"])
+def substrate(request):
+    """The native library as loaded, or substituted away for the module."""
+    saved = native.library
+    if request.param == "numpy":
+        native.library = lambda: None
+    FastModulus.clear_cache()
+    yield request.param
+    native.library = saved
+    FastModulus.clear_cache()
+
+
 @pytest.fixture(scope="module")
-def pool():
+def pool(substrate):
+    # Forked after ``substrate``: the workers inherit its choice.
     executor = ParallelExecutor(workers=2, task_timeout=120.0)
     executor.start()
     yield executor
@@ -216,7 +241,7 @@ def test_transforms(case, pool):
             for mode in FAST_MODES:
                 plan = FastNtt(case.n, case.q, root=root, mode=mode)
                 method = getattr(plan, direction)
-                results[f"fast-{mode}"] = _rows(
+                results[f"fast-{mode or 'auto'}"] = _rows(
                     case, method(_engine_input(case, rows), natural_order=natural)
                 )
             step = {"kind": "ntt", "direction": direction, "natural": natural,
@@ -262,7 +287,7 @@ def test_cyclic_product(case, pool):
     ]}
     for mode in FAST_MODES:
         plan = FastNtt(case.n, case.q, root=root, mode=mode)
-        results[f"fast-{mode}"] = _rows(case, plan.cyclic_multiply(f, g))
+        results[f"fast-{mode or 'auto'}"] = _rows(case, plan.cyclic_multiply(f, g))
     results["chain"] = _rows(case, fast_chain.run_chain(
         fast_chain.CYCLIC_MUL_STEPS,
         {"x": _limbs(case, f_rows), "y": _limbs(case, g_rows)},
@@ -297,9 +322,9 @@ def test_negacyclic_product_and_twisted_transforms(case, pool):
     untwisted = {}
     for mode in FAST_MODES:
         neg = FastNegacyclic(case.n, case.q, psi=psi, mode=mode)
-        products[f"fast-{mode}"] = _rows(case, neg.multiply(f, g))
-        twisted[f"fast-{mode}"] = _rows(case, neg.forward(f))
-        untwisted[f"fast-{mode}"] = _rows(case, neg.inverse(f))
+        products[f"fast-{mode or 'auto'}"] = _rows(case, neg.multiply(f, g))
+        twisted[f"fast-{mode or 'auto'}"] = _rows(case, neg.forward(f))
+        untwisted[f"fast-{mode or 'auto'}"] = _rows(case, neg.inverse(f))
     neg = FastNegacyclic(case.n, case.q, psi=psi)
     products["chain"] = _rows(case, fast_chain.run_chain(
         fast_chain.NEGACYCLIC_MUL_STEPS,
@@ -342,7 +367,7 @@ def test_multiply_add(case, pool):
         neg = FastNegacyclic(case.n, case.q, psi=psi, mode=mode)
         blas = FastBlasPlan(case.q, mode=mode)
         prod = neg.multiply(_limbs(case, f_rows), _limbs(case, g_rows))
-        results[f"fast-{mode}"] = _rows(
+        results[f"fast-{mode or 'auto'}"] = _rows(
             case, blas.vector_add(prod, _limbs(case, z_rows))
         )
     neg = FastNegacyclic(case.n, case.q, psi=psi)
@@ -386,7 +411,7 @@ def test_blas(case, pool):
         ]}
         for mode in FAST_MODES:
             plan = FastBlasPlan(case.q, mode=mode)
-            results[f"fast-{mode}"] = _rows(
+            results[f"fast-{mode or 'auto'}"] = _rows(
                 case, getattr(plan, op)(*scalar, x, y)
             )
         step = {"kind": "blas", "blas_op": op, "x": "x", "y": "y",
