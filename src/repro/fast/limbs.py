@@ -20,6 +20,7 @@ the word semantics the carry chains need — no masking required.
 
 from __future__ import annotations
 
+import array
 import functools
 from typing import List, Sequence, Tuple, Union
 
@@ -73,6 +74,16 @@ def limbs_from_ints(values: IntVector) -> np.ndarray:
 
 
 def _pack_flat(values: List[int]) -> np.ndarray:
+    try:
+        # One C loop when every value fits a word (ints in [0, 2^64)).
+        words = array.array("Q", values)
+    except (OverflowError, TypeError):
+        pass
+    else:
+        out = np.zeros((len(words), 2), dtype=LIMB_DTYPE)
+        if words:
+            out[:, 0] = np.frombuffer(words, dtype=LIMB_DTYPE)
+        return out
     try:
         raw = b"".join(v.to_bytes(16, "little") for v in values)
     except (OverflowError, AttributeError) as exc:
