@@ -41,9 +41,16 @@ needs_compiler = pytest.mark.skipif(
 )
 
 
+@pytest.fixture(scope="module")
+def module_cache(tmp_path_factory):
+    """One compile for the module, kept out of the user's cache."""
+    return tmp_path_factory.mktemp("native-cache")
+
+
 @pytest.fixture(autouse=True)
-def fresh_state():
+def fresh_state(module_cache, monkeypatch):
     """Each test starts and ends with no remembered load outcome."""
+    monkeypatch.setattr(native, "cache_dir", lambda: module_cache)
     native.reset()
     FastModulus.clear_cache()
     yield
@@ -264,6 +271,7 @@ class TestCache:
         assert native.entry_path(tmp_path, b"src", "cc 1") != base
 
     def test_cache_dir_follows_xdg_then_home(self, tmp_path, monkeypatch):
+        monkeypatch.undo()  # the real lookup, not the module's test cache
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         assert native.cache_dir() == tmp_path / "repro-native"
         monkeypatch.delenv("XDG_CACHE_HOME")
