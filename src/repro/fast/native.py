@@ -89,10 +89,9 @@ class NativeUnavailable(Exception):
     """The native library could not be built, loaded or trusted."""
 
 
-def fits(q) -> bool:
-    """Whether modulus ``q`` (or every prime of a tuple) is below ``2^62``."""
-    primes = q if isinstance(q, tuple) else (q,)
-    return all(p.bit_length() <= NATIVE_MAX_BITS for p in primes)
+def fits(q: int) -> bool:
+    """Whether modulus ``q`` is below ``2^62`` (a stacked plan asks per prime)."""
+    return q.bit_length() <= NATIVE_MAX_BITS
 
 
 def _in(arr: np.ndarray) -> int:

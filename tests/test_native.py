@@ -429,4 +429,4 @@ def test_source_ships_as_package_data():
 
 def test_fits_boundary():
     assert native.fits((1 << 62) - 1) and not native.fits(1 << 62)
-    assert native.fits((Q50, Q62)) and not native.fits((Q50, Q63))
+    assert native.fits(Q62) and not native.fits(Q63)
