@@ -643,7 +643,11 @@ def run_attrib(
                 _workload(ring, plan, rng, n, q, batch, rounds)
                 wall_s = time.perf_counter() - started
             try:
-                report = attribute_session(session, wall_s=wall_s)
+                # The pool's slot count, not the slots that reported: a
+                # worker that took no shard of a short batch was idle.
+                report = attribute_session(
+                    session, wall_s=wall_s, slots=workers
+                )
             except ObservabilityError as exc:
                 emit(f"attrib: {exc}")
                 return 2

@@ -21,10 +21,11 @@ exact big-integer arithmetic, and transforms against their own round
 trip, so a defect every engine shares cannot pass by agreeing with
 itself.
 
-Every case runs twice: once with the native library as this host loads
-it, and once with it substituted away (``native.library`` returning
-``None``, as on a host without a compiler), so ``auto`` plans, the
-chain runner and the pool workers run their NumPy substrates.
+Every case runs twice: here with the native library as this host loads
+it, and in ``test_engine_oracle_numpy`` with it substituted away
+(``native.library`` returning ``None``, as on a host without a
+compiler), so ``auto`` plans, the chain runner and the pool workers run
+their NumPy substrates.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from repro.arith.primes import find_ntt_prime, is_prime, root_of_unity
 from repro.blas.ops import BlasPlan
 from repro.errors import ArithmeticDomainError
 from repro.fast import chain as fast_chain
-from repro.fast import native
 from repro.fast.blas import FastBlasPlan
 from repro.fast.limbs import LIMB_DTYPE, limbs_from_ints, limbs_to_ints
 from repro.fast.modular import FastModulus
@@ -125,15 +125,15 @@ def with_corners(test):
     return test
 
 
-@pytest.fixture(scope="module", params=["native", "numpy"])
-def substrate(request):
-    """The native library as loaded, or substituted away for the module."""
-    saved = native.library
-    if request.param == "numpy":
-        native.library = lambda: None
+@pytest.fixture(scope="module")
+def substrate():
+    """The native library as this host loads it.
+
+    ``test_engine_oracle_numpy`` overrides this fixture to run every case
+    again with the library substituted away.
+    """
     FastModulus.clear_cache()
-    yield request.param
-    native.library = saved
+    yield "native"
     FastModulus.clear_cache()
 
 

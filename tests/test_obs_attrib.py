@@ -246,3 +246,26 @@ class TestServeSection:
 
         payload = attribution_to_json(report)
         assert payload["serve"]["admitted"] == 20
+
+
+class TestLiveDriver:
+    def test_live_run_counts_every_pool_slot(self, tmp_path, monkeypatch):
+        # A short batch can finish before one worker takes a shard; that
+        # worker's slot is idle, not absent, so the live driver passes
+        # the pool size rather than the slots that reported telemetry.
+        from repro.obs import attrib
+
+        seen = {}
+        real = attrib.attribute_session
+
+        def spy(session, wall_s=None, slots=None):
+            seen["slots"] = slots
+            return real(session, wall_s=wall_s, slots=slots)
+
+        monkeypatch.setattr(attrib, "attribute_session", spy)
+        code = attrib.run_attrib(
+            workers=2, logn=4, batch=2, limbs=1, rounds=1,
+            output_dir=str(tmp_path), emit=lambda line: None,
+        )
+        assert code == 0
+        assert seen["slots"] == 2
