@@ -73,35 +73,15 @@ class FastBlasPlan:
         Double-word even on r52 plans: a 128-bit add is two NumPy
         passes, cheaper than the repack either side would cost.
         """
-        xa, ya, as_ints = self._coerce_pair(x, y)
-        record_engine_call("fast", "blas.vector_add", xa.size // 2)
-        with engine_run_span(
-            "fast", "blas.vector_add", xa.size // 2, mode=self.mode
-        ):
-            out = self.mod.addmod(xa, ya)
-        return limbs_to_ints(out) if as_ints else out
+        return self._run("vector_add", x, y)
 
     def vector_sub(self, x: IntMatrix, y: IntMatrix) -> IntMatrix:
         """Point-wise ``(x - y) mod q`` (double-word path, like add)."""
-        xa, ya, as_ints = self._coerce_pair(x, y)
-        record_engine_call("fast", "blas.vector_sub", xa.size // 2)
-        with engine_run_span(
-            "fast", "blas.vector_sub", xa.size // 2, mode=self.mode
-        ):
-            out = self.mod.submod(xa, ya)
-        return limbs_to_ints(out) if as_ints else out
+        return self._run("vector_sub", x, y)
 
     def vector_mul(self, x: IntMatrix, y: IntMatrix) -> IntMatrix:
         """Point-wise ``(x * y) mod q``."""
-        xa, ya, as_ints = self._coerce_pair(x, y)
-        record_engine_call("fast", "blas.vector_mul", xa.size // 2)
-        if self.mod.r52 is not None:
-            record_r52_call("blas.vector_mul", xa.size // 2)
-        with engine_run_span(
-            "fast", "blas.vector_mul", xa.size // 2, mode=self.mode
-        ):
-            out = self.mod.mulmod(xa, ya)
-        return limbs_to_ints(out) if as_ints else out
+        return self._run("vector_mul", x, y)
 
     def axpy(self, a: int, x: IntMatrix, y: IntMatrix) -> IntMatrix:
         """``(a * x + y) mod q`` for scalar ``a`` (broadcast over lanes).
@@ -111,18 +91,32 @@ class FastBlasPlan:
         precomputed-multiplicand form — two limb-plane multiplies and
         one correction instead of a full Barrett reduction per lane.
         """
-        a_block = self.mod.constant(a, "a")
+        return self._run("axpy", x, y, a)
+
+    def _run(self, op: str, x: IntMatrix, y: IntMatrix, a=None) -> IntMatrix:
+        mod = self.mod
+        a_block = mod.constant(a, "a") if op == "axpy" else None
         xa, ya, as_ints = self._coerce_pair(x, y)
-        record_engine_call("fast", "blas.axpy", xa.size // 2)
-        if self.mod.r52 is not None:
-            record_r52_call("blas.axpy", xa.size // 2)
-        with engine_run_span("fast", "blas.axpy", xa.size // 2, mode=self.mode):
-            if self.mod.r52 is not None:
-                r = self.mod.r52
+        size = xa.size // 2
+        record_engine_call("fast", f"blas.{op}", size)
+        if mod.r52 is not None and op in ("vector_mul", "axpy"):
+            record_r52_call(f"blas.{op}", size)
+        with engine_run_span("fast", f"blas.{op}", size, mode=self.mode):
+            if mod.native is not None:
+                words = self._native(op, a_block, mod.words(xa), mod.words(ya))
+                out = mod.from_words(words)
+            elif op == "vector_add":
+                out = mod.addmod(xa, ya)
+            elif op == "vector_sub":
+                out = mod.submod(xa, ya)
+            elif op == "vector_mul":
+                out = mod.mulmod(xa, ya)
+            elif mod.r52 is not None:
+                r = mod.r52
                 prod = r.mulmod_shoup(r52_split(xa, r.limbs), r.shoup(a))
                 out = r52_join(r.addmod(prod, r52_split(ya, r.limbs)))
             else:
-                out = self.mod.axpy(a_block, xa, ya)
+                out = mod.addmod(mod.mulmod(xa, a_block), ya)
         return limbs_to_ints(out) if as_ints else out
 
     def run_words(self, op: str, *args) -> np.ndarray:
@@ -138,16 +132,20 @@ class FastBlasPlan:
                 f"vector length mismatch: {x.shape} vs {y.shape}"
             )
         mod = self.mod
+        a_block = mod.constant(scalar[0], "a") if op == "axpy" else None
         mod.check_words(x, "x")
         mod.check_words(y, "y")
         record_engine_call("fast", f"blas.{op}", x.size)
         with engine_run_span("fast", f"blas.{op}", x.size, mode=self.mode):
-            if op == "axpy":
-                a_block = mod.constant(scalar[0], "a")
-                return mod.native.axpy(
-                    mod.words(a_block).reshape(-1), x, y, mod.qwords
-                )
-            return mod.native.binary(_NATIVE_OPS[op], x, y, mod.qwords)
+            return self._native(op, a_block, x, y)
+
+    def _native(self, op: str, a_block, x: np.ndarray, y: np.ndarray):
+        """The compiled kernel for ``op`` on checked word planes."""
+        mod = self.mod
+        if op == "axpy":
+            scalars = mod.words(a_block).reshape(-1)
+            return mod.native.axpy(scalars, x, y, mod.qwords)
+        return mod.native.binary(_NATIVE_OPS[op], x, y, mod.qwords)
 
 
 #: Native kernel of each element-wise BLAS op.

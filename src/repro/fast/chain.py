@@ -228,9 +228,6 @@ class _Substrate:
     the result once. Every method returns fully reduced residues.
     """
 
-    #: BLAS steps run on loaded registers (else on double words).
-    resident_blas = False
-
     def __init__(self, mod) -> None:
         self.mod = mod
 
@@ -295,8 +292,6 @@ class _NativeSubstrate(_Substrate):
     order to bit-reversed order and the inverse the other way round, so
     the raw (``natural=False``) steps need no permutation at all.
     """
-
-    resident_blas = True
 
     def __init__(self, mod) -> None:
         super().__init__(mod)
@@ -396,7 +391,7 @@ def run_chain(
             plan = blas if blas is not None else FastBlasPlan.on(mod)
             op = step["blas_op"]
             scalar = (int(step["a"]),) if op == "axpy" else ()
-            if sub.resident_blas and plan.mod.native is not None:
+            if mod.native is not None and plan.mod.native is not None:
                 out = plan.run_words(op, *scalar, loaded(step["x"]),
                                      loaded(step["y"]))
                 regs[step["dst"]] = ("sub", out)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import array
 import functools
+import operator
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
@@ -75,7 +76,7 @@ def limbs_from_ints(values: IntVector) -> np.ndarray:
 
 def _pack_flat(values: List[int]) -> np.ndarray:
     try:
-        # One C loop when every value fits a word (ints in [0, 2^64)).
+        # Word-size values, the common case: one C loop over the row.
         words = array.array("Q", values)
     except (OverflowError, TypeError):
         pass
@@ -85,8 +86,8 @@ def _pack_flat(values: List[int]) -> np.ndarray:
             out[:, 0] = np.frombuffer(words, dtype=LIMB_DTYPE)
         return out
     try:
-        raw = b"".join(v.to_bytes(16, "little") for v in values)
-    except (OverflowError, AttributeError) as exc:
+        raw = _to_bytes(values)
+    except (OverflowError, TypeError) as exc:
         raise ArithmeticDomainError(
             f"values must be ints in [0, 2^128): {exc}"
         ) from exc
@@ -95,6 +96,17 @@ def _pack_flat(values: List[int]) -> np.ndarray:
         if values
         else np.empty((0, 2), dtype=LIMB_DTYPE)
     )
+
+
+def _to_bytes(values: List[int]) -> bytes:
+    try:
+        return b"".join(v.to_bytes(16, "little") for v in values)
+    except AttributeError:
+        # Integer-like objects (e.g. NumPy scalars), which the word path
+        # above takes too: accepted inputs never depend on value width.
+        return b"".join(
+            operator.index(v).to_bytes(16, "little") for v in values
+        )
 
 
 def limbs_to_ints(limbs: np.ndarray) -> Union[int, List[int], List[List[int]]]:

@@ -67,8 +67,11 @@ class FastModulus:
     to r52 whenever the modulus fits its two-limb fast range. Results
     are bit-identical either way. On r52 ``addmod``/``submod`` stay
     double-word (the repack would cost more than carry chains on an
-    add); on native every op runs compiled on one word per residue.
-    The public array layout is ``(..., 2)`` uint64 regardless.
+    add). On native this class binds the kernels (:attr:`native`,
+    :attr:`qwords`) and range-checks through them; the chain runner and
+    :class:`~repro.fast.blas.FastBlasPlan` call them on word planes,
+    while the element-wise methods here stay double-word. The public
+    array layout is ``(..., 2)`` uint64 regardless.
 
     A *channel-stacked* modulus (``FastModulus.get`` with a tuple of
     primes of one bit length) serves ``k`` RNS channels at once:
@@ -278,20 +281,6 @@ class FastModulus:
         out[..., 0] = words
         return out
 
-    def _native_op(self, op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a, b = np.broadcast_arrays(a, b)
-        out = self.native.binary(op, self.words(a), self.words(b), self.qwords)
-        return self.from_words(out)
-
-    def axpy(self, a_block: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """``(a * x + y) mod q`` for a :meth:`constant` ``a_block``."""
-        if self.native is not None:
-            scalars = self.words(a_block).reshape(-1)
-            out = self.native.axpy(scalars, self.words(x), self.words(y),
-                                   self.qwords)
-            return self.from_words(out)
-        return self.addmod(self.mulmod(x, a_block), y)
-
     def addmod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``(a + b) mod q`` element-wise on limb arrays.
 
@@ -299,16 +288,12 @@ class FastModulus:
         128-bit add cannot carry out (the paper's carry elision) and one
         trial subtraction finishes the job.
         """
-        if self.native is not None:
-            return self._native_op("addmod", a, b)
         total = add128_nocarry(a, b)
         diff, borrow = sub128(total, self.m)
         return select128(~borrow, diff, total)
 
     def submod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``(a - b) mod q`` element-wise: borrow then conditional add-back."""
-        if self.native is not None:
-            return self._native_op("submod", a, b)
         diff, borrow = sub128(a, b)
         fixed = add128_nocarry(diff, self.m)
         return select128(borrow, fixed, diff)
@@ -326,11 +311,8 @@ class FastModulus:
 
         When the r52 substrate is active the same product runs over
         52-bit redundant limbs instead (identical results, fewer
-        whole-vector passes); the repack happens at this boundary. On
-        the native substrate it is one compiled Barrett loop.
+        whole-vector passes); the repack happens at this boundary.
         """
-        if self.native is not None:
-            return self._native_op("mulmod", a, b)
         if self.r52 is not None:
             r = self.r52
             out = r.mulmod(r52_split(a, r.limbs), r52_split(b, r.limbs))

@@ -16,11 +16,14 @@ loaded until the first such plan is built; a plan over a wider modulus,
 or one pinned to ``mode="r52"``/``"dw"``, never touches the library.
 
 Cache: ``$XDG_CACHE_HOME/repro-native``, else ``~/.cache/repro-native``,
-else the same under the temp dir. An entry is named by a hash of the
+else ``repro-native-<uid>`` under the temp dir. The directory is created
+mode 0700 and refused (the process degrades) unless this user owns it
+and nobody else can write to it. An entry is named by a hash of the
 source, the compiler's version line and the flags, and carries a
-SHA-256 sidecar checked before every load. Entries are compiled under a
-temporary name and moved into place with :func:`os.replace`, so pool
-workers compiling at once never see a partial file.
+SHA-256 sidecar checked before every load. Both are written under a
+temporary name and moved into place with :func:`os.replace`, sidecar
+first, so pool workers compiling at once never see a partial file or an
+entry without its digest.
 
 Faults degrade and never fail: no compiler, a compile error, an
 unwritable cache, a corrupt cache entry, a library that will not load
@@ -38,6 +41,7 @@ import hashlib
 import os
 import platform
 import shutil
+import stat
 import subprocess
 import tempfile
 import threading
@@ -418,6 +422,30 @@ def _replace_atomically(target: Path, data: bytes) -> None:
         raise
 
 
+def _private_dir(directory: Path) -> None:
+    """Create ``directory`` (mode 0700) and check only this user can write it.
+
+    A directory someone else owns or can write to (a planted temp dir,
+    a symlink) could hold a library plus a matching digest, so it is
+    refused rather than trusted.
+    """
+    try:
+        directory.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            directory.mkdir(mode=0o700)
+        except FileExistsError:
+            pass
+        info = os.lstat(directory)
+    except OSError as exc:
+        raise NativeUnavailable(f"cache directory {directory}: {exc}") from exc
+    if not stat.S_ISDIR(info.st_mode):
+        raise NativeUnavailable(f"cache directory {directory} is not a directory")
+    if info.st_uid != os.getuid() or info.st_mode & 0o022:
+        raise NativeUnavailable(
+            f"cache directory {directory} is writable by another user"
+        )
+
+
 def _compile(cc: str, source: bytes, entry: Path) -> None:
     """Compile ``source`` into ``entry`` (plus its digest sidecar)."""
     with tempfile.TemporaryDirectory(dir=entry.parent, prefix=".build-") as tmp:
@@ -435,14 +463,19 @@ def _compile(cc: str, source: bytes, entry: Path) -> None:
             detail = (done.stderr.strip().splitlines() or ["no output"])[-1]
             raise NativeUnavailable(f"compile failed: {detail}")
         built = (Path(tmp) / "out.so").read_bytes()
-    _replace_atomically(entry, built)
+    # Sidecar first: an entry that exists always has its digest beside it.
     _replace_atomically(
         _digest_path(entry), hashlib.sha256(built).hexdigest().encode()
     )
+    _replace_atomically(entry, built)
 
 
-def _verified(entry: Path) -> bool:
-    """Whether ``entry`` matches its digest sidecar (deleted when not)."""
+def _verify(entry: Path) -> None:
+    """Check ``entry`` against its digest sidecar.
+
+    A mismatch deletes the entry (then its sidecar) so the next process
+    rebuilds it, and raises :class:`NativeUnavailable`.
+    """
     try:
         digest = _digest_path(entry).read_text().strip()
         ok = hashlib.sha256(entry.read_bytes()).hexdigest() == digest
@@ -451,7 +484,7 @@ def _verified(entry: Path) -> bool:
     if not ok:
         for path in (entry, _digest_path(entry)):
             path.unlink(missing_ok=True)
-    return ok
+        raise NativeUnavailable(f"corrupt cache entry {entry} removed")
 
 
 def build(directory: Optional[Path] = None) -> Path:
@@ -465,17 +498,12 @@ def build(directory: Optional[Path] = None) -> Path:
         raise NativeUnavailable("no C compiler (cc or gcc) on PATH")
     source = source_bytes()
     directory = cache_dir() if directory is None else directory
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise NativeUnavailable(f"cache directory {directory}: {exc}") from exc
+    _private_dir(directory)
     entry = entry_path(directory, source, _compiler_version(cc))
     try:
-        if entry.exists():
-            if not _verified(entry):
-                raise NativeUnavailable(f"corrupt cache entry {entry} removed")
-        else:
+        if not entry.exists():
             _compile(cc, source, entry)
+        _verify(entry)
     except OSError as exc:
         raise NativeUnavailable(f"cache directory {directory}: {exc}") from exc
     return entry

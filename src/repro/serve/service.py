@@ -440,8 +440,13 @@ class ReproService:
                         self._run_individually(engine, live)
                         return
             done = self._clock()
-            for req, result in zip(live, results):
-                self._resolve_ok(req, result, done, started_at=now)
+            finished = [
+                self._account_ok(req, done, started_at=now) for req in live
+            ]
+            # One loop wakeup for the whole batch, not one per request.
+            self._loop.call_soon_threadsafe(
+                self._finish_batch, finished, results
+            )
 
     def _resolve_batch_engine(self, live: List[Request]) -> Optional[str]:
         """The engine this batch runs on, after cascade + breaker checks.
@@ -524,6 +529,13 @@ class ReproService:
         done_at: float,
         started_at: Optional[float] = None,
     ) -> None:
+        future = self._account_ok(req, done_at, started_at)
+        self._loop.call_soon_threadsafe(self._finish, future, result, None)
+
+    def _account_ok(
+        self, req: Request, done_at: float, started_at: Optional[float]
+    ):
+        """Record one success (metrics, SLO); returns its future."""
         self.stats["completed"] += 1
         total_s = max(0.0, done_at - req.enqueued_at)
         record_serve_completed(req.op, total_s)
@@ -542,7 +554,7 @@ class ReproService:
                 compute_s=max(0.0, done_at - started_at),
             )
         self.slo.record(req.op, req.tenant, total_s, ok=True)
-        self._loop.call_soon_threadsafe(self._finish, req.future, result, None)
+        return req.future
 
     def _resolve_error(
         self, req: Request, exc: BaseException, kind: Optional[str]
@@ -564,6 +576,11 @@ class ReproService:
         else:
             self._backlog = max(0, self._backlog - 1)
             _set_exception(req.future, exc)
+
+    def _finish_batch(self, futures: List[Any], results: List[Any]) -> None:
+        """Event-loop side of a whole batch's successful resolution."""
+        for future, result in zip(futures, results):
+            self._finish(future, result, None)
 
     def _finish(self, future, result, exc: Optional[BaseException]) -> None:
         """Event-loop side of resolution: backlog release + future wakeup."""

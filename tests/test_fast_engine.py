@@ -78,6 +78,41 @@ class TestLimbPrimitives:
         with pytest.raises(ArithmeticDomainError):
             limbs_from_ints([1 << 128])
 
+    @pytest.mark.parametrize(
+        "value, accepted",
+        [
+            (5, True),
+            (True, True),
+            (np.int64(7), True),
+            (np.uint64(9), True),
+            (3.0, False),
+            ("3", False),
+            (None, False),
+            (-1, False),
+            (1 << 128, False),
+        ],
+    )
+    def test_word_and_wide_packing_accept_the_same_inputs(self, value, accepted):
+        # A row of word-size values packs through one C loop; one wide
+        # value sends the row through int.to_bytes instead. Both must
+        # take and refuse the same inputs.
+        for row in ([1, value], [1 << 100, value]):
+            if accepted:
+                assert limbs_to_ints(limbs_from_ints(row)) == [
+                    int(v) for v in row
+                ]
+            else:
+                with pytest.raises(ArithmeticDomainError):
+                    limbs_from_ints(row)
+
+    def test_unpack_word_and_wide_rows(self):
+        words = np.array([[[3, 0], [(1 << 64) - 1, 0]]], dtype=np.uint64)
+        assert limbs_to_ints(words) == [[3, (1 << 64) - 1]]
+        assert all(type(v) is int for v in limbs_to_ints(words)[0])
+        wide = words.copy()
+        wide[0, 1, 1] = 1
+        assert limbs_to_ints(wide) == [[3, (1 << 65) - 1]]
+
     def test_mul_64x64_exhaustive_boundaries(self):
         words = [0, 1, 2, (1 << 32) - 1, 1 << 32, (1 << 63), (1 << 64) - 1]
         a = np.array([x for x in words for _ in words], dtype=np.uint64)

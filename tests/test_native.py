@@ -308,6 +308,65 @@ class TestCache:
         assert len({out.strip() for out, _ in outs}) == 1
         assert native.build(tmp_path) == Path(outs[0][0].strip())
 
+    def test_reader_between_the_two_replaces_sees_a_whole_entry(
+        self, tmp_path, monkeypatch
+    ):
+        # Another process calling build() while a builder is between
+        # writing the sidecar and the entry must never find an entry
+        # without its digest (it would delete it and degrade).
+        replace = native._replace_atomically
+        seen = []
+
+        def replace_then_read(target, data):
+            replace(target, data)
+            if not seen:
+                entry = target.with_name(target.name[: -len(".sha256")])
+                seen.append(not entry.exists())
+                seen.append(native.build(tmp_path))
+
+        monkeypatch.setattr(native, "_replace_atomically", replace_then_read)
+        entry = native.build(tmp_path)
+        monkeypatch.undo()
+        assert seen == [True, entry]
+        assert native.load(tmp_path).path == entry
+
+
+class TestPrivateCacheDir:
+    def test_created_private(self, tmp_path):
+        native.build(tmp_path / "fresh")
+        assert (tmp_path / "fresh").stat().st_mode & 0o777 == 0o700
+
+    def test_temp_fallback_is_per_user(self, monkeypatch):
+        monkeypatch.undo()  # the real lookup, not the module's test cache
+        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+
+        def no_home():
+            raise RuntimeError("no home directory")
+
+        monkeypatch.setattr(Path, "home", staticmethod(no_home))
+        assert native.cache_dir().name == f"repro-native-{os.getuid()}"
+
+    @needs_compiler
+    @pytest.mark.parametrize("plant", ["world-writable", "group-writable",
+                                       "symlink", "foreign-owned"])
+    def test_planted_directory_degrades(self, plant, monkeypatch, tmp_path):
+        real = tmp_path / "real"
+        real.mkdir(mode=0o700)
+        directory = tmp_path / "repro-native"
+        if plant == "symlink":
+            directory.symlink_to(real)
+        else:
+            directory.mkdir()
+            directory.chmod({"world-writable": 0o777,
+                             "group-writable": 0o770}.get(plant, 0o700))
+        if plant == "foreign-owned":
+            uid = os.getuid()
+            monkeypatch.setattr(native.os, "getuid", lambda: uid + 1)
+        monkeypatch.setattr(native, "cache_dir", lambda: directory)
+        reason = _assert_degrades_once()
+        assert "cache directory" in reason
+        assert list(real.iterdir()) == []
+
 
 # ---------------------------------------------------------------------------
 # Fault paths: degrade, never fail
